@@ -14,14 +14,13 @@ vet:
 	$(GO) vet ./...
 
 # moloclint enforces the repo's numeric + concurrency invariants
-# (DESIGN.md §8); the -cache file makes an unchanged tree replay its
-# findings without re-type-checking. The extra go vet pass runs the
+# (DESIGN.md §8). The extra go vet pass runs the
 # unsafeptr and copylocks analyzers by name: naming analyzers disables
 # the rest, so this is an explicit, targeted gate on unsafe.Pointer
 # conversions and by-value lock copies on top of the full `make vet`.
 lint:
 	$(GO) vet -unsafeptr -copylocks ./...
-	$(GO) run ./cmd/moloclint -cache .moloclint-cache.json ./...
+	$(GO) run ./cmd/moloclint ./...
 
 test:
 	$(GO) test ./...
@@ -90,4 +89,3 @@ examples:
 
 clean:
 	$(GO) clean ./...
-	rm -f .moloclint-cache.json

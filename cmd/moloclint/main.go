@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	moloclint [-only degnorm,randsrc] [-list] [-json|-sarif] [-cache file] [packages]
+//	moloclint [-only degnorm,randsrc] [-list] [-json|-sarif] [packages]
 //
 // Package arguments are directory paths relative to the module root;
 // "./..." (or no argument) analyzes the whole module. Suppress a
@@ -18,13 +18,7 @@
 //
 // -json and -sarif switch the stdout format from file:line:col text to
 // a JSON array or a SARIF 2.1.0 log (what GitHub code scanning
-// ingests); the exit status is 1 on findings in every format. -cache
-// names a findings-cache file: when no package changed since the last
-// run — per-package content hashes chained through the import graph —
-// the findings are replayed without parsing or type-checking, which
-// makes a clean repo-wide lint cheap enough for every build. Because
-// the cache covers whole-module analysis, -cache rejects package
-// patterns other than ./...
+// ingests); the exit status is 1 on findings in every format.
 package main
 
 import (
@@ -42,9 +36,8 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
 	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log instead of text")
-	cachePath := flag.String("cache", "", "findings cache `file`; an unchanged module replays cached findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: moloclint [-only names] [-list] [-json|-sarif] [-cache file] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: moloclint [-only names] [-list] [-json|-sarif] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -76,34 +69,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "moloclint:", err)
 		os.Exit(2)
 	}
-	var diags []lint.Diagnostic
-	if *cachePath != "" {
-		if !wholeModulePatterns(flag.Args()) {
-			fmt.Fprintln(os.Stderr, "moloclint: -cache analyzes the whole module; package patterns other than ./... are not supported")
-			os.Exit(2)
-		}
-		var hit bool
-		diags, hit, err = lint.RunCached(root, modPath, *cachePath, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "moloclint:", err)
-			os.Exit(2)
-		}
-		if hit {
-			fmt.Fprintln(os.Stderr, "moloclint: findings replayed from cache")
-		}
-	} else {
-		pkgs, err := lint.Load(root, modPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "moloclint:", err)
-			os.Exit(2)
-		}
-		pkgs, err = filterPackages(pkgs, cwd, flag.Args())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "moloclint:", err)
-			os.Exit(2)
-		}
-		diags = lint.RunAll(pkgs, analyzers)
+	pkgs, err := lint.Load(root, modPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "moloclint:", err)
+		os.Exit(2)
 	}
+	pkgs, err = filterPackages(pkgs, cwd, flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "moloclint:", err)
+		os.Exit(2)
+	}
+	diags := lint.RunAll(pkgs, analyzers)
 
 	switch {
 	case *jsonOut:
@@ -127,18 +103,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "moloclint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// wholeModulePatterns reports whether the package arguments select the
-// whole module — empty, "./...", or "..." — the only shapes the
-// findings cache supports.
-func wholeModulePatterns(patterns []string) bool {
-	for _, pat := range patterns {
-		if pat != "./..." && pat != "..." {
-			return false
-		}
-	}
-	return true
 }
 
 // selectAnalyzers resolves the -only flag to a set of analyzers.

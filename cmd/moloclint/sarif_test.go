@@ -144,21 +144,3 @@ func TestJSONOutput(t *testing.T) {
 		t.Errorf("clean run must emit [], got %q", empty.String())
 	}
 }
-
-func TestWholeModulePatterns(t *testing.T) {
-	cases := []struct {
-		patterns []string
-		want     bool
-	}{
-		{nil, true},
-		{[]string{"./..."}, true},
-		{[]string{"..."}, true},
-		{[]string{"internal/geom"}, false},
-		{[]string{"./...", "cmd/..."}, false},
-	}
-	for _, c := range cases {
-		if got := wholeModulePatterns(c.patterns); got != c.want {
-			t.Errorf("wholeModulePatterns(%v) = %v, want %v", c.patterns, got, c.want)
-		}
-	}
-}

@@ -14,8 +14,7 @@ package lint
 // analyzer only consults uses in P and its transitive dependencies, and
 // only reports positions inside P. A mix that spans packages is
 // therefore reported from the importer — the first package that can see
-// both sides — which is also what keeps the driver's per-package
-// findings cache sound.
+// both sides.
 
 import (
 	"fmt"

@@ -4,17 +4,18 @@ package lint
 // crash-safety PR: a client must never receive a success it could lose.
 // Two orderings encode it:
 //
-//  1. Ingest handlers annotated //moloc:durable may only write a 2xx
-//     status after a call that can reach a WAL append. Reachability is
-//     the engine's transitive AppendsWAL fact, so an
-//     enqueueDurable-style wrapper three calls above (*Log).Append
-//     counts as the guard.
-//  2. The same rule for the binary stream plane, where success is an
-//     ack frame instead of a status code: a call that can reach an
+//  1. A success release in a function annotated //moloc:durable — a
+//     2xx status write on the HTTP side, or a call that can reach an
 //     //moloc:ack-annotated primitive (the engine's transitive SendsAck
-//     fact, anchored at (*wire.Writer).WriteAck) inside a
-//     //moloc:durable function must be preceded by an AppendsWAL call.
-//  3. In packages under internal/wal and internal/checkpoint, a Rename
+//     fact, anchored at (*wire.Writer).WriteAck) on the stream side —
+//     must be preceded by a call that can reach a WAL append (the
+//     AppendsWAL fact) and by a call that can reach a durability wait
+//     (the WaitsDurable fact: (*GroupCommitter).WaitDurable or the
+//     syncing (*Log).Append). Both facts are transitive, so an ingest
+//     wrapper three calls above the WAL counts as the guard. The wait
+//     matters because AppendNoSync leaves its record in the page cache
+//     until the group committer's fsync covers it.
+//  2. In packages under internal/wal and internal/checkpoint, a Rename
 //     call (the atomic publish of a data file) must be preceded by a
 //     Sync call in the same function — rename-before-fsync can publish
 //     a file whose contents are still in the page cache.
@@ -34,7 +35,7 @@ import (
 // DurableAck reports success acks and renames that outrun durability.
 var DurableAck = &Analyzer{
 	Name: "durableack",
-	Doc:  "2xx and stream acks in //moloc:durable handlers must follow a WAL append; Rename must follow Sync",
+	Doc:  "2xx and stream acks in //moloc:durable handlers must follow a WAL append and a durability wait; Rename must follow Sync",
 	Run:  runDurableAck,
 }
 
@@ -63,7 +64,7 @@ func runDurableAck(pass *Pass) {
 // checkDurableHandler demands every success release in an annotated
 // handler — a 2xx status write on the HTTP side, a SendsAck-reaching
 // call on the stream side — be preceded by a call that can reach a WAL
-// append.
+// append and by one that can reach a durability wait.
 func checkDurableHandler(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -86,15 +87,23 @@ func checkDurableHandler(pass *Pass, fd *ast.FuncDecl) {
 		if !isAck {
 			return true
 		}
+		appended, waited := false, false
 		for _, prev := range precedingCalls(fd.Body, call.Pos()) {
 			if fn := funcObj(pass.Info, prev); fn != nil {
-				if facts := pass.Index.FuncFacts(fn); facts != nil && facts.AppendsWAL {
-					return true
+				if facts := pass.Index.FuncFacts(fn); facts != nil {
+					appended = appended || facts.AppendsWAL
+					waited = waited || facts.WaitsDurable
 				}
 			}
 		}
-		pass.Reportf(call.Pos(),
-			kind+" in a //moloc:durable handler with no preceding WAL append")
+		switch {
+		case !appended:
+			pass.Reportf(call.Pos(),
+				kind+" in a //moloc:durable handler with no preceding WAL append")
+		case !waited:
+			pass.Reportf(call.Pos(),
+				kind+" in a //moloc:durable handler with no preceding durability wait (WaitDurable or a syncing Append)")
+		}
 		return true
 	})
 }

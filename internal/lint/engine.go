@@ -12,8 +12,8 @@ package lint
 //
 // The Index is built once per RunAll and handed to every Pass; facts
 // flow strictly along the import DAG (a package's findings depend only
-// on itself and its dependencies), which is what makes the driver's
-// per-package findings cache sound.
+// on itself and its dependencies), so every finding is attributed to
+// one package.
 
 import (
 	"go/ast"
@@ -36,9 +36,17 @@ type FuncFacts struct {
 	// AppendsWAL reports that the function may reach a WAL append —
 	// (*Log).Append or (*Log).AppendNoSync in a package under
 	// internal/wal — directly or through any chain of module-internal
-	// calls. durableack uses it to accept enqueueDurable-style wrappers
-	// as the durability guard.
+	// calls. durableack uses it to accept enqueue wrappers as the append
+	// half of the durability guard.
 	AppendsWAL bool
+
+	// WaitsDurable reports that the function may reach a durability
+	// wait — (*GroupCommitter).WaitDurable, or the syncing (*Log).Append,
+	// in a package under internal/wal — directly or transitively.
+	// durableack demands one before every success release, because an
+	// AppendNoSync record is only in the page cache until the covering
+	// fsync completes.
+	WaitsDurable bool
 
 	// SendsAck reports that the function may reach an ack-release
 	// primitive — a function annotated //moloc:ack, like the stream
@@ -116,8 +124,8 @@ func (ix *Index) visible(from, in string) bool {
 }
 
 // BuildIndex runs the shared summary pass over every package, then
-// propagates the transitive facts (AppendsWAL, Blocking, RetiresWG)
-// over the static call graph to a fixed point.
+// propagates the transitive facts (AppendsWAL, WaitsDurable, SendsAck,
+// Blocking, RetiresWG) over the static call graph to a fixed point.
 func BuildIndex(pkgs []*Package) *Index {
 	ix := &Index{
 		funcs:       make(map[*types.Func]*FuncFacts),
@@ -173,9 +181,8 @@ func (ix *Index) summarizeFile(pkg *Package, f *ast.File) {
 			ReuseAnnotated: hasDirective(fd.Doc, "//moloc:reuse"),
 			SendsAck:       hasDirective(fd.Doc, "//moloc:ack"),
 		}
-		if isWALAppend(obj) {
-			facts.AppendsWAL = true
-		}
+		facts.AppendsWAL = isWALAppend(obj)
+		facts.WaitsDurable = isDurabilityWait(obj)
 		if fd.Body != nil {
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -184,6 +191,9 @@ func (ix *Index) summarizeFile(pkg *Package, f *ast.File) {
 						facts.Calls = append(facts.Calls, callee)
 						if isWALAppend(callee) {
 							facts.AppendsWAL = true
+						}
+						if isDurabilityWait(callee) {
+							facts.WaitsDurable = true
 						}
 						if isWaitGroupMethod(callee, "Done") {
 							facts.RetiresWG = true
@@ -248,12 +258,23 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 // isWALAppend reports whether fn is a write-ahead log append method —
 // Append, or the group-commit split's AppendNoSync — in any package
 // under internal/wal, so analyzer fixtures can model it. AppendNoSync
-// counts because its records are covered by the committer's fsync
-// before any ack releases (the SendsAck side of durableack checks
-// exactly that ordering).
+// counts as an append but not as durable: that is isDurabilityWait's
+// half of the guard.
 func isWALAppend(fn *types.Func) bool {
-	return (fn.Name() == "Append" || fn.Name() == "AppendNoSync") && fn.Pkg() != nil &&
-		pkgHasSegments(fn.Pkg().Path(), "internal/wal") &&
+	return (fn.Name() == "Append" || fn.Name() == "AppendNoSync") && isWALMethod(fn)
+}
+
+// isDurabilityWait reports whether fn makes earlier WAL appends durable
+// before returning: the group committer's WaitDurable, or the syncing
+// Append, which fsyncs its own record per the log's policy.
+func isDurabilityWait(fn *types.Func) bool {
+	return (fn.Name() == "WaitDurable" || fn.Name() == "Append") && isWALMethod(fn)
+}
+
+// isWALMethod reports whether fn is a method declared in a package
+// under internal/wal.
+func isWALMethod(fn *types.Func) bool {
+	return fn.Pkg() != nil && pkgHasSegments(fn.Pkg().Path(), "internal/wal") &&
 		fn.Type().(*types.Signature).Recv() != nil
 }
 
@@ -275,9 +296,10 @@ func isWaitGroupMethod(fn *types.Func, name string) bool {
 	return ok && named.Obj().Name() == "WaitGroup"
 }
 
-// propagate closes AppendsWAL, SendsAck, Blocking, and RetiresWG over
-// the static call graph: a function inherits each flag from any callee.
-// Iterates to a fixed point (the graph is small and cycles are rare).
+// propagate closes AppendsWAL, WaitsDurable, SendsAck, Blocking, and
+// RetiresWG over the static call graph: a function inherits each flag
+// from any callee. Iterates to a fixed point (the graph is small and
+// cycles are rare).
 func (ix *Index) propagate() {
 	for changed := true; changed; {
 		changed = false
@@ -289,6 +311,10 @@ func (ix *Index) propagate() {
 				}
 				if cf.AppendsWAL && !facts.AppendsWAL {
 					facts.AppendsWAL = true
+					changed = true
+				}
+				if cf.WaitsDurable && !facts.WaitsDurable {
+					facts.WaitsDurable = true
 					changed = true
 				}
 				if cf.SendsAck && !facts.SendsAck {

@@ -86,8 +86,7 @@ type Diagnostic struct {
 	// Pkg is the import path of the package whose analysis produced the
 	// finding. Because analyzers only consult facts from the analyzed
 	// package and its transitive dependencies, a package's findings are
-	// a pure function of its own sources plus its dependency closure —
-	// the invariant the driver's incremental cache keys on.
+	// a pure function of its own sources plus its dependency closure.
 	Pkg string
 }
 
@@ -111,7 +110,7 @@ type Pass struct {
 	// Analyzers may query any function's summary but must only report
 	// positions inside this pass's package, and must restrict
 	// cross-package fact lookups to Index.visible paths — both are what
-	// keep the per-package findings cache sound.
+	// keep each finding attributed to the package that produced it.
 	Index *Index
 
 	diags []Diagnostic

@@ -194,6 +194,18 @@ func TestIndexTransitiveFacts(t *testing.T) {
 	if !factsOf(ix, "enqueueStream").AppendsWAL {
 		t.Error("enqueueStream calls AppendNoSync; AppendsWAL must cover the group-commit append")
 	}
+	if factsOf(ix, "enqueueStream").WaitsDurable {
+		t.Error("enqueueStream only calls AppendNoSync; that is no durability wait")
+	}
+	if !factsOf(ix, "enqueue").WaitsDurable {
+		t.Error("enqueue calls the syncing Append; WaitsDurable must be set")
+	}
+	if !factsOf(ix, "waitDurable").WaitsDurable {
+		t.Error("waitDurable calls WaitDurable directly; WaitsDurable must propagate")
+	}
+	if !factsOf(ix, "serveGood").WaitsDurable {
+		t.Error("serveGood reaches WaitDurable through waitDurable; WaitsDurable must be transitive")
+	}
 
 	pkgs, err = LoadTree(filepath.Join("testdata", "waitleak"), "", false)
 	if err != nil {

@@ -1,6 +1,7 @@
-// Fixture write-ahead log: the engine recognizes (*Log).Append in any
-// package under internal/wal as the durability anchor, so the fixture
-// models the real one's shape.
+// Fixture write-ahead log: the engine recognizes (*Log).Append,
+// (*Log).AppendNoSync and (*GroupCommitter).WaitDurable in any package
+// under internal/wal as the durability anchors, so the fixture models
+// the real one's shape.
 package wal
 
 type Log struct {
@@ -14,8 +15,20 @@ func (l *Log) Append(p []byte) (uint64, error) {
 
 // AppendNoSync is the group-commit half of the real log's API: append
 // under the lock, leave the fsync to the committer. The engine treats
-// it as a WAL append anchor just like Append.
+// it as a WAL append, but — unlike the syncing Append — not as a
+// durability wait.
 func (l *Log) AppendNoSync(p []byte) (uint64, error) {
 	l.seq++
 	return l.seq, nil
+}
+
+// GroupCommitter is the other half: WaitDurable returns once one
+// covering fsync made every record up to seq durable.
+type GroupCommitter struct {
+	durable uint64
+}
+
+func (g *GroupCommitter) WaitDurable(seq uint64) error {
+	g.durable = seq
+	return nil
 }

@@ -1,8 +1,9 @@
 // Package server exercises the durableack analyzer's first rule: a
-// function annotated //moloc:durable may only write a 2xx status after
-// a call that can reach a WAL append. The guard is the engine's
-// transitive AppendsWAL fact, so a wrapper between the handler and
-// (*wal.Log).Append still counts.
+// function annotated //moloc:durable may only write a 2xx status (or
+// release a stream ack) after a call that can reach a WAL append and a
+// call that can reach a durability wait. The guards are the engine's
+// transitive AppendsWAL and WaitsDurable facts, so a wrapper between
+// the handler and (*wal.Log).Append still counts.
 package server
 
 import (
@@ -23,7 +24,8 @@ func writeJSON(w writer, status int, v interface{}) {
 }
 
 type store struct {
-	log *wal.Log
+	log   *wal.Log
+	group *wal.GroupCommitter
 }
 
 // enqueue reaches the WAL through one level of indirection.
@@ -98,14 +100,58 @@ func commitAcks(wr *wire.Writer, seq uint64) {
 	wr.WriteAck(seq, 1)
 }
 
-// The protocol again: append first, ack the frame after.
+// waitDurable reaches the group committer's fsync wait through one
+// level of indirection.
+func (s *store) waitDurable(seq uint64) error {
+	return s.group.WaitDurable(seq)
+}
+
+// The protocol again: append first, wait for the covering fsync, ack
+// the frame after.
 //
 //moloc:durable
 func (s *store) serveGood(wr *wire.Writer, p []byte, seq uint64) {
 	if err := s.enqueueStream(p); err != nil {
 		return
 	}
+	if err := s.waitDurable(seq); err != nil {
+		return
+	}
 	commitAcks(wr, seq)
+}
+
+// AppendNoSync then ack: the record is only in the page cache, so a
+// crash after the ack loses it.
+//
+//moloc:durable
+func (s *store) serveNoWait(wr *wire.Writer, p []byte, seq uint64) {
+	if err := s.enqueueStream(p); err != nil {
+		return
+	}
+	commitAcks(wr, seq) // want `releases a stream ack in a //moloc:durable handler with no preceding durability wait`
+}
+
+// The HTTP twins: AppendNoSync then 202 is reported, AppendNoSync then
+// WaitDurable then 202 passes.
+//
+//moloc:durable
+func (s *store) handleNoWait(w writer, p []byte) {
+	if err := s.enqueueStream(p); err != nil {
+		return
+	}
+	writeJSON(w, 202, resp{Queued: 1}) // want `writes a 2xx status in a //moloc:durable handler with no preceding durability wait`
+}
+
+//moloc:durable
+func (s *store) handleGroupWait(w writer, p []byte) {
+	if err := s.enqueueStream(p); err != nil {
+		return
+	}
+	if err := s.group.WaitDurable(1); err != nil {
+		w.WriteHeader(503)
+		return
+	}
+	writeJSON(w, 202, resp{Queued: 1})
 }
 
 // Ack frame before the append: the stream-side twin of handleAckFirst.

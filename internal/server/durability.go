@@ -28,7 +28,6 @@ import (
 	"moloc/internal/checkpoint"
 	"moloc/internal/motiondb"
 	"moloc/internal/wal"
-	"moloc/internal/wire"
 )
 
 // Degradation-ladder states. The zero value is healthy so a server
@@ -141,11 +140,13 @@ func (s *Server) openDurability() {
 	}
 
 	// Open the WAL, replaying the records past the checkpoint's coverage
-	// into the pending queue. Torn tails are truncated by wal.Open; a
-	// record that fails decoding or validation (possible only through
-	// corruption that beat the CRC) is skipped and counted.
+	// into the pending queue (without re-appending them: a nil store).
+	// Torn tails are truncated by wal.Open; a record that fails decoding
+	// or validation (possible only through corruption that beat the CRC)
+	// is skipped and counted.
 	numLocs := s.plan.NumLocs()
 	replayed := 0
+	lastSeq := ckptSeq
 	log, err := wal.Open(filepath.Join(o.DataDir, "wal"), wal.Options{
 		FS:           o.FS,
 		SegmentBytes: o.WALSegmentBytes,
@@ -155,29 +156,15 @@ func (s *Server) openDurability() {
 		if seq <= ckptSeq {
 			return nil // already folded into the checkpoint
 		}
-		// The WAL holds two payload encodings: binary batches from the
-		// stream plane (self-identified by wire.ObsMagic, which no JSON
-		// document can start with) and legacy JSON from the HTTP path.
-		var batch []motiondb.Observation
-		if wire.IsObsPayload(payload) {
-			b, derr := wire.DecodeObservations(payload, nil)
-			if derr != nil {
-				s.met.walReplaySkipped.Inc()
-				return nil
-			}
-			batch = b
-		} else if err := json.Unmarshal(payload, &batch); err != nil {
+		batch, err := decodeRecord(payload, nil)
+		if err != nil {
 			s.met.walReplaySkipped.Inc()
 			return nil
 		}
-		for _, ob := range batch {
-			if validateObservation(ob, numLocs) != nil {
-				s.met.walReplaySkipped.Inc()
-				continue
-			}
-			replayed++
-		}
-		if !s.retrain.enqueueReplay(batch, numLocs, seq) {
+		batch, dropped := keepValid(batch, numLocs)
+		s.met.walReplaySkipped.Add(dropped)
+		replayed += len(batch)
+		if _, ok, err := s.retrain.append(nil, nil, batch); err != nil || !ok {
 			s.met.observationsDropped.Add(int64(len(batch)))
 		}
 		return nil
@@ -189,12 +176,13 @@ func (s *Server) openDurability() {
 		s.met.walTornTruncations.Add(int64(st.Truncations))
 		s.met.walReplayed.Add(int64(replayed))
 		log.EnsureSeqAtLeast(ckptSeq)
+		lastSeq = log.NextSeq() - 1
 		s.store.log = log
-		// The group committer serves the streaming plane: appends go in
+		// The group committer serves every ingest path: appends go in
 		// with AppendNoSync and acks wait on its covering fsync.
 		s.group = wal.NewGroupCommitter(log)
 	}
-	s.retrain.initSeqs(ckptSeq)
+	s.retrain.initSeqs(ckptSeq, lastSeq)
 
 	// Fold the replayed tail and land a fresh checkpoint. Success here
 	// (or nothing to do on a clean boot) clears recovering; any failure

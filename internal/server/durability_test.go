@@ -163,14 +163,16 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 
 	// Reference: the same batches folded with no crash in between.
 	ref := durableServer(t, sys, Options{})
-	if !ref.retrain.enqueue(b1) {
-		t.Fatal("reference enqueue")
+	if _, err := ref.ingest(nil, b1, false); err != nil {
+		t.Fatalf("reference ingest: %v", err)
 	}
 	if _, err := ref.RetrainNow(); err != nil {
 		t.Fatal(err)
 	}
-	if !ref.retrain.enqueue(b2) || !ref.retrain.enqueue(b3) {
-		t.Fatal("reference enqueue")
+	for _, b := range [][]motiondb.Observation{b2, b3} {
+		if _, err := ref.ingest(nil, b, false); err != nil {
+			t.Fatalf("reference ingest: %v", err)
+		}
 	}
 	if _, err := ref.RetrainNow(); err != nil {
 		t.Fatal(err)

@@ -296,6 +296,30 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServerRouteMetricsNoAlloc: a route resolves its metric handles
+// once, so recording a status it has seen before allocates nothing, and
+// the names stay the ones /v1/metricsz has always reported.
+func TestServerRouteMetricsNoAlloc(t *testing.T) {
+	srv, _ := testServer(t)
+	rm := srv.met.route("tick")
+	for _, status := range []int{http.StatusOK, http.StatusNotFound} {
+		rm.request(status, time.Millisecond) // first use resolves the counter
+		if allocs := testing.AllocsPerRun(100, func() { rm.request(status, time.Millisecond) }); allocs != 0 {
+			t.Errorf("status %d: %.1f allocs per repeated request, want 0", status, allocs)
+		}
+	}
+	snap := srv.met.reg.Snapshot()
+	if got := snap.Counters["requests{route=tick,status=200}"]; got != 102 {
+		t.Errorf("requests{route=tick,status=200} = %d, want 102", got)
+	}
+	if got := snap.Counters["requests{route=tick,status=404}"]; got != 102 {
+		t.Errorf("requests{route=tick,status=404} = %d, want 102", got)
+	}
+	if got := snap.Histograms["latency_seconds{route=tick}"].Count; got != 204 {
+		t.Errorf("latency_seconds{route=tick} count = %d, want 204", got)
+	}
+}
+
 // getJSON fetches and decodes a GET endpoint.
 func getJSON(t *testing.T, ts *httptest.Server, path string, out interface{}) {
 	t.Helper()

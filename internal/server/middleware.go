@@ -19,8 +19,7 @@ import (
 
 // serverMetrics bundles the server's metric handles. The named fields
 // are the hot-path metrics looked up once at construction; per-route
-// request counters and latency histograms are created on first use in
-// the registry.
+// request counters and latency histograms live in routeMetrics.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -162,10 +161,39 @@ func heapAllocBytes() uint64 {
 	return v
 }
 
+// routeMetrics is one route's instrumentation, resolved once in
+// instrument: its latency histogram, and its per-status request
+// counters cached on first use, so a repeated status costs one map
+// lookup — no name formatting, no registry lock.
+type routeMetrics struct {
+	reg     *obs.Registry
+	route   string
+	latency *obs.Histogram
+
+	mu       sync.Mutex
+	byStatus map[int]*obs.Counter
+}
+
+func (m *serverMetrics) route(route string) *routeMetrics {
+	return &routeMetrics{
+		reg:      m.reg,
+		route:    route,
+		latency:  m.reg.Histogram("latency_seconds{route="+route+"}", obs.LatencyBuckets),
+		byStatus: make(map[int]*obs.Counter),
+	}
+}
+
 // request records one served request.
-func (m *serverMetrics) request(route string, status int, d time.Duration) {
-	m.reg.Counter(fmt.Sprintf("requests{route=%s,status=%d}", route, status)).Inc()
-	m.reg.Histogram("latency_seconds{route="+route+"}", obs.LatencyBuckets).Observe(d.Seconds())
+func (rm *routeMetrics) request(status int, d time.Duration) {
+	rm.mu.Lock()
+	c := rm.byStatus[status]
+	if c == nil {
+		c = rm.reg.Counter(fmt.Sprintf("requests{route=%s,status=%d}", rm.route, status))
+		rm.byStatus[status] = c
+	}
+	rm.mu.Unlock()
+	c.Inc()
+	rm.latency.Observe(d.Seconds())
 }
 
 // statusWriter captures the response status for instrumentation, and
@@ -194,6 +222,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // tearing down the whole process — one malformed request must not take
 // every session's serving path with it.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	rm := s.met.route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
@@ -204,7 +233,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 					httpError(sw, http.StatusInternalServerError, "internal error")
 				}
 			}
-			s.met.request(route, sw.status, time.Since(start))
+			rm.request(sw.status, time.Since(start))
 		}()
 		h(sw, r)
 	}

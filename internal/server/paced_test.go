@@ -4,15 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"moloc/internal/sensors"
+	"moloc/internal/stats"
 	"moloc/internal/wire"
 )
 
@@ -37,11 +40,24 @@ type pushedFix struct {
 	moved bool
 }
 
-// TestPacedServerEquivalence is the end-to-end half of the pacing
-// contract: a server-paced session must push fixes bit-identical to
-// what an identically-fed client-paced session gets from its own tick
-// requests. The paced session's fixes arrive as unsolicited Fix frames
-// on the stream that scoped it; the plain session's from /tick bodies.
+// fixKey is one fix as every transport can report it.
+type fixKey struct {
+	T     float64
+	Loc   int
+	Moved bool
+	Mode  string
+}
+
+func keyOf(f fixResp) fixKey { return fixKey{f.T, f.Loc, f.Moved, f.Mode} }
+
+// TestPacedServerEquivalence pins transport equivalence on one walk:
+// per-interval /tick, per-interval /batch, one multi-interval /batch,
+// stream Tick frames and the server-paced wheel (fixes pushed as
+// unsolicited Fix frames) must all produce the same (t, loc, moved,
+// mode) sequence, because they are codecs over one data-plane core. A
+// late /tick closing every interval at once must count every fix it
+// produced in fixes{mode=…} and candidate_set_size, and the stream's
+// ticks must be instrumented like the HTTP ones.
 func TestPacedServerEquivalence(t *testing.T) {
 	sys := buildSys(t)
 	clock := newFakeClock()
@@ -50,6 +66,38 @@ func TestPacedServerEquivalence(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	addr := startStream(t, srv)
+
+	// The trace: a straight walk, one scan per 3-s interval. Each round
+	// uploads one interval of events and ticks at its last event time —
+	// the time the wheel ticks a paced session at.
+	const rounds = 6
+	g, err := sensors.NewGenerator(sys.Config.Sensors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, _ := g.Walk(nil, 0, 3*rounds, 1.8, 90, sensors.Device{}, 0, stats.NewRNG(5))
+	type round struct {
+		samples []sensors.Sample
+		scan    scanReq
+		tickT   float64
+	}
+	var trace []round
+	var allScans []scanReq
+	for r := 0; r < rounds; r++ {
+		var rd round
+		for _, smp := range walk {
+			if smp.T >= float64(3*r) && smp.T < float64(3*r+3) {
+				rd.samples = append(rd.samples, smp)
+			}
+		}
+		loc := 1 + (2*r)%sys.Plan.NumLocs()
+		rss := sys.Model.Sample(sys.Plan.LocPos(loc), stats.NewRNG(int64(100+r)))
+		rd.scan = scanReq{T: float64(3*r) + 1.5, RSS: rss}
+		rd.tickT = math.Max(rd.samples[len(rd.samples)-1].T, rd.scan.T)
+		allScans = append(allScans, rd.scan)
+		trace = append(trace, rd)
+	}
+	lastT := trace[rounds-1].tickT
 
 	resp, body := postJSON(t, ts, "/v1/sessions", createReq{HeightM: 1.71, WeightKg: 68, Paced: true})
 	if resp.StatusCode != http.StatusCreated {
@@ -62,13 +110,14 @@ func TestPacedServerEquivalence(t *testing.T) {
 	if !pacedCr.Paced {
 		t.Fatal("create response does not acknowledge pacing")
 	}
-	plainID := createSession(t, ts)
+	tickID, batchID, multiID, streamID, lateID :=
+		createSession(t, ts), createSession(t, ts), createSession(t, ts), createSession(t, ts), createSession(t, ts)
 
 	var (
 		pushMu sync.Mutex
 		pushed []pushedFix
 	)
-	c, err := wire.DialStream(addr, "eq-stream", wire.ClientOptions{
+	pc, err := wire.DialStream(addr, "eq-paced", wire.ClientOptions{
 		SessionID: pacedCr.SessionID,
 		OnFix: func(ft float64, loc int, moved bool) {
 			pushMu.Lock()
@@ -79,76 +128,171 @@ func TestPacedServerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	rss := make([]float64, srv.numAPs)
-	for i := range rss {
-		rss[i] = -60
+	defer pc.Close()
+	sc, err := wire.DialStream(addr, "eq-tick", wire.ClientOptions{SessionID: streamID})
+	if err != nil {
+		t.Fatal(err)
 	}
-	feed := func(id string, fromEvent, toEvent int) {
+	defer sc.Close()
+
+	post := func(path string, body interface{}, want int) []byte {
 		t.Helper()
-		var batch []sensors.Sample
-		for j := fromEvent; j <= toEvent; j++ {
-			batch = append(batch, sensors.Sample{T: float64(j) * 0.1, Accel: 9.8})
+		resp, b := postJSON(t, ts, path, body)
+		if resp.StatusCode != want {
+			t.Fatalf("%s: %d %s, want %d", path, resp.StatusCode, b, want)
 		}
-		resp, _ := postJSON(t, ts, "/v1/sessions/"+id+"/imu", imuReq{Samples: batch})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("imu: %d", resp.StatusCode)
+		return b
+	}
+	// lastFix reads a session's newest fix over GET: the mode of a
+	// stream or pushed fix, which the binary Fix frame does not carry.
+	lastFix := func(id string) fixKey {
+		t.Helper()
+		var sr sessionResp
+		getJSON(t, ts, "/v1/sessions/"+id, &sr)
+		if sr.Fix == nil {
+			t.Fatalf("session %s has no fix", id)
 		}
+		return keyOf(*sr.Fix)
 	}
 
-	var tickFixes []pushedFix
-	for round := 1; round <= 4; round++ {
-		// Identical evidence for both sessions: IMU up to exactly the
-		// interval boundary, one scan mid-interval.
-		scanT := float64(30*round-20) * 0.1
-		endT := float64(30*round) * 0.1
-		for _, id := range []string{pacedCr.SessionID, plainID} {
-			feed(id, 30*(round-1), 30*round)
-			resp, _ := postJSON(t, ts, "/v1/sessions/"+id+"/scan", scanReq{T: scanT, RSS: rss})
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("scan: %d", resp.StatusCode)
-			}
-		}
-		// Client pacing: an explicit tick at the last event time.
-		resp, body := postJSON(t, ts, "/v1/sessions/"+plainID+"/tick", tickReq{T: endT})
+	var tickSeq, batchSeq, streamSeq, pacedSeq []fixKey
+	for r, rd := range trace {
+		// Per-interval /tick.
+		post("/v1/sessions/"+tickID+"/imu", imuReq{Samples: rd.samples}, http.StatusAccepted)
+		post("/v1/sessions/"+tickID+"/scan", rd.scan, http.StatusAccepted)
+		resp, body := postJSON(t, ts, "/v1/sessions/"+tickID+"/tick", tickReq{T: rd.tickT})
 		switch resp.StatusCode {
 		case http.StatusOK:
 			var fx fixResp
 			if err := json.Unmarshal(body, &fx); err != nil {
 				t.Fatal(err)
 			}
-			tickFixes = append(tickFixes, pushedFix{t: fx.T, loc: fx.Loc, moved: fx.Moved})
+			tickSeq = append(tickSeq, keyOf(fx))
 		case http.StatusNoContent:
 		default:
 			t.Fatalf("tick: %d %s", resp.StatusCode, body)
 		}
-		// Server pacing: the wheel fires on wall time and ticks the
-		// session at that same last event time.
+
+		// Per-interval /batch.
+		var br batchResp
+		if err := json.Unmarshal(post("/v1/sessions/"+batchID+"/batch",
+			batchReq{Samples: rd.samples, Scans: []scanReq{rd.scan}, T: rd.tickT}, http.StatusOK), &br); err != nil {
+			t.Fatal(err)
+		}
+		if len(br.Fixes) > 1 {
+			t.Fatalf("round %d closed %d intervals; the trace must close at most one per round", r, len(br.Fixes))
+		}
+		for _, fx := range br.Fixes {
+			batchSeq = append(batchSeq, keyOf(fx))
+		}
+
+		// Stream IMU, Scan and Tick frames.
+		if err := sc.SendIMU(rd.samples); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.SendScan(rd.scan.T, rd.scan.RSS); err != nil {
+			t.Fatal(err)
+		}
+		loc, moved, ok, err := sc.Tick(rd.tickT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			fk := lastFix(streamID)
+			if fk.Loc != loc || fk.Moved != moved {
+				t.Fatalf("stream tick replied (%d, %v), session's last fix is %+v", loc, moved, fk)
+			}
+			streamSeq = append(streamSeq, fk)
+		}
+
+		// Server pacing: upload only; the wheel fires on wall time and
+		// ticks the session at its last event time.
+		post("/v1/sessions/"+pacedCr.SessionID+"/imu", imuReq{Samples: rd.samples}, http.StatusAccepted)
+		post("/v1/sessions/"+pacedCr.SessionID+"/scan", rd.scan, http.StatusAccepted)
 		clock.Advance(srv.opts.SessionTTL / 100) // well under TTL
 		clock.Advance(4 * time.Second)
 		srv.AdvanceWheel(clock.Now())
-		want := len(tickFixes)
-		waitUntil(t, fmt.Sprintf("round %d pushes", round), func() bool {
+		want := len(batchSeq)
+		waitUntil(t, fmt.Sprintf("round %d pushes", r), func() bool {
 			pushMu.Lock()
 			defer pushMu.Unlock()
 			return len(pushed) >= want
 		})
+		pushMu.Lock()
+		newPushes := pushed[len(pacedSeq):]
+		pushMu.Unlock()
+		if len(newPushes) > 0 {
+			fk := lastFix(pacedCr.SessionID)
+			p := newPushes[len(newPushes)-1]
+			if len(newPushes) > 1 || fk.T != p.t || fk.Loc != p.loc || fk.Moved != p.moved {
+				t.Fatalf("round %d pushed %+v, session's last fix is %+v", r, newPushes, fk)
+			}
+			pacedSeq = append(pacedSeq, fk)
+		}
 	}
 
-	pushMu.Lock()
-	defer pushMu.Unlock()
-	if len(tickFixes) == 0 {
-		t.Fatal("scenario produced no fixes; the equivalence check is vacuous")
+	// One multi-interval /batch carrying the whole trace.
+	var all []sensors.Sample
+	for _, rd := range trace {
+		all = append(all, rd.samples...)
 	}
-	if len(pushed) != len(tickFixes) {
-		t.Fatalf("paced session pushed %d fixes, client ticks produced %d:\npushed: %+v\nticked: %+v",
-			len(pushed), len(tickFixes), pushed, tickFixes)
+	var mr batchResp
+	if err := json.Unmarshal(post("/v1/sessions/"+multiID+"/batch",
+		batchReq{Samples: all, Scans: allScans, T: lastT}, http.StatusOK), &mr); err != nil {
+		t.Fatal(err)
 	}
-	for i := range pushed {
-		if pushed[i] != tickFixes[i] {
-			t.Errorf("fix %d: pushed %+v != ticked %+v", i, pushed[i], tickFixes[i])
+	var multiSeq []fixKey
+	for _, fx := range mr.Fixes {
+		multiSeq = append(multiSeq, keyOf(fx))
+	}
+	n := len(multiSeq)
+	if n < 2 {
+		t.Fatalf("trace produced %d fixes; the equivalence check needs several", n)
+	}
+	for name, seq := range map[string][]fixKey{
+		"per-interval /tick": tickSeq, "per-interval /batch": batchSeq,
+		"stream Tick": streamSeq, "paced wheel": pacedSeq,
+	} {
+		if !reflect.DeepEqual(seq, multiSeq) {
+			t.Errorf("%s fixes differ from the multi-interval /batch:\n got %+v\nwant %+v", name, seq, multiSeq)
 		}
+	}
+
+	// A late /tick closes every interval at once: it answers the newest
+	// fix, and the per-fix metrics count all n of them.
+	fixesNow := func() int64 { return srv.met.fixesMoLoc.Value() + srv.met.fixesFingerprint.Value() }
+	fixes0, cands0 := fixesNow(), srv.met.candidateSetSize.Count()
+	post("/v1/sessions/"+lateID+"/imu", imuReq{Samples: all}, http.StatusAccepted)
+	for _, scan := range allScans {
+		post("/v1/sessions/"+lateID+"/scan", scan, http.StatusAccepted)
+	}
+	var late fixResp
+	body = post("/v1/sessions/"+lateID+"/tick", tickReq{T: lastT}, http.StatusOK)
+	if err := json.Unmarshal(body, &late); err != nil {
+		t.Fatal(err)
+	}
+	if keyOf(late) != multiSeq[n-1] {
+		t.Errorf("late /tick answered %+v, want the newest fix %+v", keyOf(late), multiSeq[n-1])
+	}
+	if got := fixesNow() - fixes0; got != int64(n) {
+		t.Errorf("late /tick closing %d intervals counted %d fixes{mode=*}", n, got)
+	}
+	if got := srv.met.candidateSetSize.Count() - cands0; got != int64(n) {
+		t.Errorf("late /tick closing %d intervals observed %d candidate_set_size samples", n, got)
+	}
+
+	// Every path counted every fix it produced (five paths plus the late
+	// tick), and every client tick — stream frames included — was timed.
+	if got := fixesNow(); got != int64(6*n) {
+		t.Errorf("fixes{mode=*} = %d, want %d", got, 6*n)
+	}
+	if got := srv.met.candidateSetSize.Count(); got != int64(6*n) {
+		t.Errorf("candidate_set_size count = %d, want %d", got, 6*n)
+	}
+	if got, want := srv.met.tickSeconds.Count(), int64(3*rounds+2); got != want {
+		// Per-interval /tick, /batch and stream ticks, plus the two
+		// whole-trace ticks.
+		t.Errorf("tick_seconds count = %d, want %d", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -63,12 +64,10 @@ func TestRunShardedRecoversPanic(t *testing.T) {
 	id := createSession(t, ts)
 	ss, _ := srv.reg.get(id)
 
-	rec := httptest.NewRecorder()
-	if srv.runSharded(rec, ss, func(*tracker.Tracker) { panic("tracker bug") }) {
-		t.Fatal("runSharded reported success for a panicking fn")
-	}
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", rec.Code)
+	err := srv.runSharded(ss, func(*tracker.Tracker) { panic("tracker bug") })
+	var ce *clientError
+	if !errors.As(err, &ce) || ce.status != http.StatusInternalServerError {
+		t.Fatalf("runSharded on a panicking fn = %v, want a 500 clientError", err)
 	}
 	if got := srv.met.panicsRecovered.Value(); got != 1 {
 		t.Fatalf("panics_recovered = %d, want 1", got)
@@ -76,8 +75,7 @@ func TestRunShardedRecoversPanic(t *testing.T) {
 
 	// The worker survived; the session still works.
 	ran := false
-	rec2 := httptest.NewRecorder()
-	if !srv.runSharded(rec2, ss, func(*tracker.Tracker) { ran = true }) || !ran {
-		t.Fatal("worker did not serve the session after the panic")
+	if err := srv.runSharded(ss, func(*tracker.Tracker) { ran = true }); err != nil || !ran {
+		t.Fatalf("worker did not serve the session after the panic: %v", err)
 	}
 }

@@ -66,7 +66,7 @@ func (r *sessionRegistry) allocID() string {
 
 // reserve claims one session slot against max, reporting false without
 // side effects when the registry is full. A successful reserve must be
-// followed by insert (or release, on a failed create).
+// followed by insert.
 func (r *sessionRegistry) reserve(max int) bool {
 	if r.count.Add(1) > int64(max) {
 		r.count.Add(-1)
@@ -74,9 +74,6 @@ func (r *sessionRegistry) reserve(max int) bool {
 	}
 	return true
 }
-
-// release returns a reserved-but-never-inserted slot.
-func (r *sessionRegistry) release() { r.count.Add(-1) }
 
 // insert files a session under its reserved slot.
 func (r *sessionRegistry) insert(ss *session) {

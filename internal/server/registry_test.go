@@ -14,9 +14,12 @@ func TestRegistryReserveCap(t *testing.T) {
 	if r.reserve(2) {
 		t.Fatal("reservation beyond the cap admitted")
 	}
-	r.release()
+	r.insert(newSession("s1", nil, time.Now()))
+	if _, ok := r.remove("s1"); !ok {
+		t.Fatal("remove of an inserted session failed")
+	}
 	if !r.reserve(2) {
-		t.Fatal("released capacity not reusable")
+		t.Fatal("removed session's capacity not reusable")
 	}
 }
 

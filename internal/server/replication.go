@@ -20,7 +20,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -97,9 +96,9 @@ func (s *Server) serveRepl(conn net.Conn, rd *wire.Reader, sc *streamConn, fr wi
 }
 
 // replApplier adapts the server to replica.Applier: the follower side
-// writes replicated records into the local WAL through the retrainer's
-// enqueue path, so queue order, WAL order, and — after the local fold —
-// the motion database are all identical to the leader's.
+// writes replicated records into the local WAL through the server's one
+// ingest path (retrain.go), so queue order, WAL order, and — after the
+// local fold — the motion database are all identical to the leader's.
 type replApplier struct {
 	s *Server
 
@@ -155,7 +154,8 @@ func (ra *replApplier) InstallSnapshot(ckptSeq uint64, payload []byte) error {
 // verbatim (the follower's WAL is byte-identical to the shipped range of
 // the leader's); the decoded observations feed the retrainer the same
 // way the leader's ingest fed them, minus the validation drops the
-// leader's replay would also make.
+// leader's replay would also make. A full queue blocks: backpressure
+// simply slows the replication stream down.
 func (ra *replApplier) Apply(seq uint64, payload []byte) error {
 	s := ra.s
 	next := s.store.log.NextSeq()
@@ -165,48 +165,27 @@ func (ra *replApplier) Apply(seq uint64, payload []byte) error {
 	if seq > next {
 		return fmt.Errorf("server: replication gap: got seq %d, expected %d", seq, next)
 	}
-	// Decode exactly as WAL replay does: binary batches self-identify by
-	// the wire magic, anything else is the legacy JSON encoding. A record
-	// that decodes but holds invalid observations still appends (the WAL
-	// must stay byte-identical); only the fold drops them, as the
-	// leader's own replay would.
-	numLocs := s.plan.NumLocs()
-	valid := ra.obs[:0]
-	if wire.IsObsPayload(payload) {
-		batch, err := wire.DecodeObservations(payload, ra.obs)
-		if err != nil {
-			return fmt.Errorf("server: replicated record %d: %w", seq, err)
-		}
-		ra.obs = batch
-		for _, o := range batch {
-			if validateObservation(o, numLocs) != nil {
-				s.met.walReplaySkipped.Inc()
-				continue
-			}
-			valid = append(valid, o)
-		}
+	// Decode exactly as WAL replay does. A record that decodes but holds
+	// invalid observations still appends (the WAL must stay
+	// byte-identical); only the fold drops them, as the leader's own
+	// replay would.
+	batch, err := decodeRecord(payload, ra.obs)
+	if err != nil {
+		return fmt.Errorf("server: replicated record %d: %w", seq, err)
 	}
-	for {
-		wseq, ok, err := s.retrain.enqueueStream(s.store, payload, valid)
-		if err != nil {
-			s.met.walAppendErrors.Inc()
-			s.setState(stateDegraded)
-			return fmt.Errorf("server: replicated append: %w", err)
-		}
-		if ok {
-			if wseq != seq {
-				return fmt.Errorf("server: replicated record %d landed at local seq %d", seq, wseq)
-			}
-			s.met.replApplied.Inc()
-			s.met.replAppliedObs.Add(int64(len(valid)))
-			return nil
-		}
-		// Queue full: the retrainer drains it shortly; backpressure here
-		// simply slows the replication stream down.
-		if s.waitDone(2 * time.Millisecond) {
-			return errors.New("server: shutting down")
-		}
+	ra.obs = batch
+	valid, dropped := keepValid(batch, s.plan.NumLocs())
+	s.met.walReplaySkipped.Add(dropped)
+	wseq, err := s.ingest(payload, valid, true)
+	if err != nil {
+		return fmt.Errorf("server: replicated append: %w", err)
 	}
+	if wseq != seq {
+		return fmt.Errorf("server: replicated record %d landed at local seq %d", seq, wseq)
+	}
+	s.met.replApplied.Inc()
+	s.met.replAppliedObs.Add(int64(len(valid)))
+	return nil
 }
 
 // Commit waits for the covering fsync over everything applied so far and
@@ -216,12 +195,8 @@ func (ra *replApplier) Apply(seq uint64, payload []byte) error {
 func (ra *replApplier) Commit() (uint64, error) {
 	s := ra.s
 	applied := s.store.log.NextSeq() - 1
-	if s.group != nil {
-		if err := s.group.WaitDurable(applied); err != nil {
-			s.met.walAppendErrors.Inc()
-			s.setState(stateDegraded)
-			return 0, err
-		}
+	if err := s.waitDurable(applied); err != nil {
+		return 0, err
 	}
 	return applied, nil
 }

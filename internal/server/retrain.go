@@ -12,6 +12,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -40,7 +41,6 @@ type retrainer struct {
 
 	mu      sync.Mutex
 	pending []motiondb.Observation
-	dropped int64 // observations bounced off a full queue
 	builder *motiondb.Builder
 	db      *motiondb.DB
 	dirty   [][2]int // scratch, reused across retrains
@@ -78,20 +78,6 @@ func newRetrainer(plan *floorplan.Plan, mdb *motiondb.DB, lcfg localizer.Config,
 	}, nil
 }
 
-// enqueue appends a validated batch, reporting false when it would
-// overflow the queue (the client retries after the next retrain drains
-// it).
-func (rt *retrainer) enqueue(obs []motiondb.Observation) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if len(rt.pending)+len(obs) > rt.queueCap {
-		rt.dropped += int64(len(obs))
-		return false
-	}
-	rt.pending = append(rt.pending, obs...)
-	return true
-}
-
 // pendingLen reports the queued observation count.
 func (rt *retrainer) pendingLen() int {
 	rt.mu.Lock()
@@ -99,41 +85,13 @@ func (rt *retrainer) pendingLen() int {
 	return len(rt.pending)
 }
 
-// enqueueDurable is enqueue with the WAL in the write path: the batch
-// is appended — and made durable per the fsync policy — before it
-// enters the pending queue, under one lock so WAL order and queue order
-// agree. payload is the batch pre-marshaled outside the lock. A nil
-// store degrades to plain enqueue (durability off); a store whose WAL
-// never opened refuses the batch with errWALUnavailable.
-func (rt *retrainer) enqueueDurable(store *durableStore, payload []byte, obs []motiondb.Observation) (bool, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if len(rt.pending)+len(obs) > rt.queueCap {
-		rt.dropped += int64(len(obs))
-		return false, nil
-	}
-	if store != nil {
-		if store.log == nil {
-			return false, errWALUnavailable
-		}
-		seq, err := store.log.Append(payload)
-		if err != nil {
-			return false, err
-		}
-		rt.lastSeq = seq
-	}
-	rt.pending = append(rt.pending, obs...)
-	return true, nil
-}
-
-// enqueueStream is the streaming twin of enqueueDurable: the append
-// skips its own fsync (wal.AppendNoSync) because the stream handler
-// releases the ack only after GroupCommitter.WaitDurable covers the
-// returned sequence — that split is what lets one fsync serve every
-// stream that raced in. Queue order still matches WAL order (both
-// happen under rt.mu). ok=false means the queue is full; the stream
-// handler blocks and retries rather than shedding.
-func (rt *retrainer) enqueueStream(store *durableStore, payload []byte, obs []motiondb.Observation) (seq uint64, ok bool, err error) {
+// append is the retrainer's one enqueue: the payload goes into the WAL
+// without its own fsync (wal.AppendNoSync) and obs into the pending
+// queue, both under rt.mu so WAL order is queue order. ok=false means
+// the queue is full and nothing was written. A nil store skips the WAL
+// (durability off); a store whose WAL never opened refuses the batch
+// with errWALUnavailable.
+func (rt *retrainer) append(store *durableStore, payload []byte, obs []motiondb.Observation) (seq uint64, ok bool, err error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if len(rt.pending)+len(obs) > rt.queueCap {
@@ -153,39 +111,12 @@ func (rt *retrainer) enqueueStream(store *durableStore, payload []byte, obs []mo
 	return seq, true, nil
 }
 
-// enqueueReplay feeds one replayed WAL batch into the pending queue at
-// boot, dropping the individual observations that fail validation (only
-// possible through corruption that beat the record CRC). It reports
-// false when the queue is full.
-func (rt *retrainer) enqueueReplay(obs []motiondb.Observation, numLocs int, seq uint64) bool {
+// initSeqs records the recovered checkpoint coverage and the newest
+// WAL sequence at boot.
+func (rt *retrainer) initSeqs(ckptSeq, lastSeq uint64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if seq > rt.lastSeq {
-		rt.lastSeq = seq
-	}
-	if len(rt.pending)+len(obs) > rt.queueCap {
-		rt.dropped += int64(len(obs))
-		return false
-	}
-	for _, o := range obs {
-		if validateObservation(o, numLocs) != nil {
-			continue
-		}
-		rt.pending = append(rt.pending, o)
-	}
-	return true
-}
-
-// initSeqs records the recovered checkpoint coverage at boot. lastSeq
-// only ratchets forward: WAL replay may already have advanced it past
-// the checkpoint.
-func (rt *retrainer) initSeqs(ckptSeq uint64) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.ckptSeq = ckptSeq
-	if rt.lastSeq < ckptSeq {
-		rt.lastSeq = ckptSeq
-	}
+	rt.ckptSeq, rt.lastSeq = ckptSeq, lastSeq
 }
 
 // restore replaces the training state with a recovered checkpoint's: db
@@ -339,7 +270,8 @@ var obsIngestPool = sync.Pool{
 
 // handleObservations ingests a crowdsourced batch. The //moloc:durable
 // contract (checked by moloclint's durableack): with durability on, the
-// 202 may only be written after the batch reached the WAL.
+// 202 may only be written after the batch reached the WAL and its
+// covering fsync completed.
 //
 //moloc:durable
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
@@ -381,41 +313,94 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// With durability on, the batch must be in the WAL before the 202:
-	// an acknowledged batch survives kill -9. Encode outside the lock —
-	// in the binary wire format, which WAL replay self-identifies by its
-	// magic byte and which reuses the pooled buffer — and append inside
-	// it (enqueueDurable) so log order matches queue order.
+	// With durability on, the batch must be durable before the 202: an
+	// acknowledged batch survives kill -9. Encode outside the lock, in
+	// the binary wire format (which WAL replay self-identifies by its
+	// magic byte, and which reuses the pooled buffer).
 	var payload []byte
 	if s.store != nil {
 		sc.payload = wire.AppendObservations(sc.payload[:0], req.Observations)
 		payload = sc.payload
 	}
-	ok, err := s.retrain.enqueueDurable(s.store, payload, req.Observations)
-	if err != nil {
-		// The disk refused the write. Nothing was acknowledged, so
-		// nothing can be lost — but durability is gone, so degrade and
-		// shed ingestion until a checkpoint lands again.
-		s.met.walAppendErrors.Inc()
-		s.setState(stateDegraded)
-		httpError(w, http.StatusServiceUnavailable,
-			"observation log unavailable; batch not accepted")
-		return
-	}
-	if !ok {
+	seq, err := s.ingest(payload, req.Observations, false)
+	if errors.Is(err, errQueueFull) {
 		s.met.observationsDropped.Add(int64(len(req.Observations)))
 		httpError(w, http.StatusTooManyRequests,
 			"observation queue full; retry after the next retrain")
 		return
 	}
-	if s.store != nil {
-		s.met.walAppends.Inc()
+	if err == nil {
+		err = s.waitDurable(seq)
 	}
-	s.met.observationsIn.Add(int64(len(req.Observations)))
+	if err != nil {
+		// The disk refused the write or its fsync. Nothing was
+		// acknowledged, so nothing can be lost — but durability is gone:
+		// the ladder is degraded and ingestion sheds until a checkpoint
+		// lands again.
+		httpError(w, http.StatusServiceUnavailable,
+			"observation log unavailable; batch not accepted")
+		return
+	}
 	writeJSON(w, http.StatusAccepted, obsResp{
 		Queued:  len(req.Observations),
 		Pending: s.retrain.pendingLen(),
 	})
+}
+
+// errQueueFull and errShuttingDown are ingest's refusals: the pending
+// queue has no room for the batch, or the server closed while a
+// blocking ingest waited for room.
+var (
+	errQueueFull    = errors.New("observation queue full")
+	errShuttingDown = errors.New("server shutting down")
+)
+
+// ingest is the one durable-ingest path under JSON POST
+// /v1/observations, stream ObsBatch frames and the follower's
+// replicated records: it enqueues the batch (retrainer.append — WAL
+// append without fsync, then the pending queue, under one lock) and
+// returns the WAL sequence the caller must pass to waitDurable before
+// it acks (0 with durability off). A full queue fails with
+// errQueueFull, or with block set waits for a retrain to drain it
+// until the server closes. A WAL failure degrades the ladder.
+func (s *Server) ingest(payload []byte, obs []motiondb.Observation, block bool) (uint64, error) {
+	for {
+		seq, ok, err := s.retrain.append(s.store, payload, obs)
+		switch {
+		case err != nil:
+			s.met.walAppendErrors.Inc()
+			s.setState(stateDegraded)
+			return 0, fmt.Errorf("observation log unavailable: %w", err)
+		case ok:
+			if s.store != nil {
+				s.met.walAppends.Inc()
+			}
+			s.met.observationsIn.Add(int64(len(obs)))
+			return seq, nil
+		case !block:
+			return 0, errQueueFull
+		case s.waitDone(2 * time.Millisecond):
+			return 0, errShuttingDown
+		}
+	}
+}
+
+// waitDurable is the one durability wait: it blocks until WAL record
+// seq is durable per the fsync policy (wal.GroupCommitter.WaitDurable,
+// which amortizes one fsync over every batch that raced in), and every
+// 202, stream ack and follower commit is released only after it. A
+// failed covering fsync degrades the ladder exactly as a failed append
+// does.
+func (s *Server) waitDurable(seq uint64) error {
+	if s.group == nil || seq == 0 {
+		return nil
+	}
+	if err := s.group.WaitDurable(seq); err != nil {
+		s.met.walAppendErrors.Inc()
+		s.setState(stateDegraded)
+		return err
+	}
+	return nil
 }
 
 // validateObservation rejects out-of-range endpoints and non-physical
@@ -432,4 +417,33 @@ func validateObservation(o motiondb.Observation, numLocs int) error {
 		return fmt.Errorf("off must be a distance >= 0, got %g", o.RLM.Off)
 	}
 	return nil
+}
+
+// keepValid filters obs in place to the observations validateObservation
+// accepts and reports how many it dropped: the rule for stream frames,
+// WAL replay and replicated records, where a poison observation must not
+// wedge a resend loop or a boot.
+func keepValid(obs []motiondb.Observation, numLocs int) ([]motiondb.Observation, int64) {
+	valid := obs[:0]
+	for _, o := range obs {
+		if validateObservation(o, numLocs) == nil {
+			valid = append(valid, o)
+		}
+	}
+	return valid, int64(len(obs) - len(valid))
+}
+
+// decodeRecord decodes one WAL record payload into dst's storage. The
+// WAL holds two encodings: binary batches (self-identified by
+// wire.ObsMagic, which no JSON document can start with) and the legacy
+// JSON of early HTTP ingest.
+//
+//moloc:reuse
+func decodeRecord(payload []byte, dst []motiondb.Observation) ([]motiondb.Observation, error) {
+	if wire.IsObsPayload(payload) {
+		return wire.DecodeObservations(payload, dst)
+	}
+	batch := dst[:0]
+	err := json.Unmarshal(payload, &batch)
+	return batch, err
 }

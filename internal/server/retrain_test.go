@@ -143,8 +143,8 @@ func TestRetrainSwapsSnapshot(t *testing.T) {
 		t.Fatalf("pair %v untrained", pair)
 	}
 	obs := obsNear(sys.Plan, pair[0], pair[1], 12)
-	if !srv.retrain.enqueue(obs) {
-		t.Fatal("enqueue refused")
+	if _, err := srv.ingest(nil, obs, false); err != nil {
+		t.Fatalf("ingest refused: %v", err)
 	}
 
 	n, err := srv.RetrainNow()

@@ -29,6 +29,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -192,18 +193,117 @@ func NewWithOptions(plan *floorplan.Plan, src fingerprint.CandidateSource, numAP
 // index, for embedders and tests observing retrain publications.
 func (s *Server) CompiledSnapshot() *motiondb.Compiled { return s.snap.Load() }
 
+// The client-paced data plane: one core under every transport. HTTP
+// /imu, /scan, /tick and /batch (below) and the stream's IMU, Scan
+// and Tick frames (stream.go) are codecs that decode into a clientReq,
+// call serveClient, and encode its fixes or its clientError. Validation,
+// worker dispatch, the degradation-ladder sample, and the per-fix
+// metrics therefore happen in exactly one place, so the transports
+// cannot drift apart. The tick wheel (wheel.go) keeps its own batched
+// dispatch and shares only countFixes.
+
+// clientReq is one client-paced request in transport-neutral form: IMU
+// samples and scans to feed the session's tracker, in that order, then
+// — when tick is set — a tick closing every interval elapsed at t. The
+// stream decodes samples into per-connection scratch, so serveClient
+// consumes them and never retains them; scan readings are handed to the
+// tracker, which buffers them.
+type clientReq struct {
+	//moloc:reuse
+	samples []sensors.Sample
+	scans   []scanReq
+	tick    bool
+	t       float64
+}
+
+// clientError is a data-plane failure. status is the HTTP status the
+// JSON codec answers with; the stream sends the message in an Error
+// frame.
+type clientError struct {
+	status int
+	msg    string
+}
+
+func (e *clientError) Error() string { return e.msg }
+
+// serveClient runs one client-paced request on the session's worker and
+// returns dst extended with every fix the tick produced, oldest first.
+// The whole request is one worker dispatch and, when it ticks, one RCU
+// snapshot acquisition (tracker.TickBatch) and one degradation-ladder
+// sample: a degraded server serves the tick on the pure fingerprint path
+// regardless of when the state flips mid-request. The result aliases
+// dst.
+//
+//moloc:reuse
+func (s *Server) serveClient(ss *session, req clientReq, dst []tracker.Fix) ([]tracker.Fix, error) {
+	if len(req.samples) > s.opts.MaxIMUBatch {
+		return dst, &clientError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("imu batch of %d samples exceeds the %d-sample cap; split the upload",
+				len(req.samples), s.opts.MaxIMUBatch)}
+	}
+	for _, sc := range req.scans {
+		if len(sc.RSS) != s.numAPs {
+			return dst, &clientError{http.StatusBadRequest,
+				fmt.Sprintf("scan has %d APs, deployment has %d", len(sc.RSS), s.numAPs)}
+		}
+	}
+	fpOnly := s.fingerprintOnly()
+	start := time.Now()
+	fixes := dst
+	if err := s.runSharded(ss, func(tk *tracker.Tracker) {
+		for _, smp := range req.samples {
+			tk.AddIMU(smp)
+		}
+		for _, sc := range req.scans {
+			tk.AddScan(sc.T, fingerprint.Fingerprint(sc.RSS))
+		}
+		if !req.tick {
+			return
+		}
+		tk.SetFingerprintOnly(fpOnly)
+		a0 := heapAllocBytes()
+		t0 := time.Now()
+		fixes = tk.TickBatch(req.t, dst)
+		s.met.tickSeconds.Observe(time.Since(t0).Seconds())
+		s.met.tickAllocBytes.Observe(float64(heapAllocBytes() - a0))
+	}); err != nil {
+		return dst, err
+	}
+	if len(fixes) > len(dst) {
+		// Fix latency is end to end from the core's point of view: queue
+		// wait on the session's worker plus tracker compute.
+		s.met.fixSeconds.Observe(time.Since(start).Seconds())
+		s.countFixes(fixes[len(dst):])
+	}
+	return fixes, nil
+}
+
+// countFixes is the per-fix bookkeeping every tick path shares, the
+// wheel included: one candidate_set_size sample and one fixes{mode=…}
+// count per fix produced.
+func (s *Server) countFixes(fixes []tracker.Fix) {
+	for i := range fixes {
+		s.met.candidateSetSize.Observe(float64(len(fixes[i].Candidates)))
+		if fixes[i].Mode == tracker.ModeFingerprint {
+			s.met.fixesFingerprint.Inc()
+		} else {
+			s.met.fixesMoLoc.Inc()
+		}
+	}
+}
+
 // runSharded executes fn on the session's tracker from the worker pool
 // (see pool.go): same-session requests serialize on one worker, and
-// distinct sessions spread across the pool. It writes the HTTP error
-// itself and reports false when the session is gone or the server is
-// shutting down.
+// distinct sessions spread across the pool. It is the only blocking
+// pool dispatch; the error is a clientError for a closed pool (503), a
+// panic (500), or an evicted session (404).
 //
 // Panics inside fn are caught on the worker — an unrecovered panic
-// there would kill the whole process, not just the request — and turned
-// into a 500 for this caller while the worker keeps serving other
-// sessions. The session's own lock is released by withTracker's defer
-// before the recover runs, so the session stays usable too.
-func (s *Server) runSharded(w http.ResponseWriter, ss *session, fn func(tk *tracker.Tracker)) bool {
+// there would kill the whole process, not just the request — while the
+// worker keeps serving other sessions. The session's own lock is
+// released by withTracker's defer before the recover runs, so the
+// session stays usable too.
+func (s *Server) runSharded(ss *session, fn func(tk *tracker.Tracker)) error {
 	now := s.opts.Now()
 	alive := false
 	panicked := true
@@ -219,18 +319,15 @@ func (s *Server) runSharded(w http.ResponseWriter, ss *session, fn func(tk *trac
 		alive = ss.withTracker(now, fn)
 		panicked = false
 	}) {
-		httpError(w, http.StatusServiceUnavailable, "server shutting down")
-		return false
+		return &clientError{http.StatusServiceUnavailable, "server shutting down"}
 	}
 	if panicked {
-		httpError(w, http.StatusInternalServerError, "internal error")
-		return false
+		return &clientError{http.StatusInternalServerError, "internal error"}
 	}
 	if !alive {
-		httpError(w, http.StatusNotFound, "session expired")
-		return false
+		return &clientError{http.StatusNotFound, "session expired"}
 	}
-	return true
+	return nil
 }
 
 // Handler returns the HTTP handler for the API. Routing is explicit
@@ -493,95 +590,35 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// The client-paced routes are the JSON codec over serveClient: decode
+// the body, run the transport-neutral request, and encode its fixes.
+// /tick is /batch's single-interval form, answering the newest fix or
+// 204.
+
 func (s *Server) handleIMU(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
 	var req imuReq
-	if !s.decodeJSON(w, r, &req) {
-		return
+	if _, ok := s.serveHTTP(w, r, &req, func() clientReq { return clientReq{samples: req.Samples} }); ok {
+		w.WriteHeader(http.StatusAccepted)
 	}
-	if len(req.Samples) > s.opts.MaxIMUBatch {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("imu batch of %d samples exceeds the %d-sample cap; split the upload",
-				len(req.Samples), s.opts.MaxIMUBatch))
-		return
-	}
-	if !s.runSharded(w, ss, func(tk *tracker.Tracker) {
-		for _, smp := range req.Samples {
-			tk.AddIMU(smp)
-		}
-	}) {
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
 }
 
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
 	var req scanReq
-	if !s.decodeJSON(w, r, &req) {
-		return
+	if _, ok := s.serveHTTP(w, r, &req, func() clientReq { return clientReq{scans: []scanReq{req}} }); ok {
+		w.WriteHeader(http.StatusAccepted)
 	}
-	if len(req.RSS) != s.numAPs {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("scan has %d APs, deployment has %d", len(req.RSS), s.numAPs))
-		return
-	}
-	if !s.runSharded(w, ss, func(tk *tracker.Tracker) {
-		tk.AddScan(req.T, fingerprint.Fingerprint(req.RSS))
-	}) {
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
 	var req tickReq
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	var (
-		fix    tracker.Fix
-		gotFix bool
-	)
-	// The ladder position is sampled once per tick, outside the worker
-	// closure: a degraded server serves this tick on the pure fingerprint
-	// path regardless of when the state flips mid-request.
-	fpOnly := s.fingerprintOnly()
-	start := time.Now()
-	if !s.runSharded(w, ss, func(tk *tracker.Tracker) {
-		tk.SetFingerprintOnly(fpOnly)
-		a0 := heapAllocBytes()
-		t0 := time.Now()
-		fix, gotFix = tk.Tick(req.T)
-		s.met.tickSeconds.Observe(time.Since(t0).Seconds())
-		s.met.tickAllocBytes.Observe(float64(heapAllocBytes() - a0))
-	}) {
-		return
-	}
-	if !gotFix {
+	fixes, ok := s.serveHTTP(w, r, &req, func() clientReq { return clientReq{tick: true, t: req.T} })
+	switch {
+	case !ok:
+	case len(fixes) == 0:
 		w.WriteHeader(http.StatusNoContent)
-		return
+	default:
+		writeJSON(w, http.StatusOK, s.toResp(fixes[len(fixes)-1]))
 	}
-	// Fix latency is end to end from the handler's point of view: queue
-	// wait on the session's worker plus tracker compute.
-	s.met.fixSeconds.Observe(time.Since(start).Seconds())
-	s.met.candidateSetSize.Observe(float64(len(fix.Candidates)))
-	if fix.Mode == tracker.ModeFingerprint {
-		s.met.fixesFingerprint.Inc()
-	} else {
-		s.met.fixesMoLoc.Inc()
-	}
-	writeJSON(w, http.StatusOK, s.toResp(fix))
 }
 
 // batchReq is one batched upload: buffered sensor data plus a final
@@ -600,65 +637,46 @@ type batchResp struct {
 
 // handleBatch is the batched data plane: a phone that buffered several
 // intervals of sensor data uploads samples, scans, and the final tick
-// time in one request. The whole batch runs as one worker-pool dispatch
-// — one queue wait, one RCU snapshot acquisition (tracker.TickBatch) —
-// and every interval's fix comes back, not just the last, so a batched
-// client sees the same fix stream a per-interval client would.
+// time in one request, and every interval's fix comes back, not just
+// the last, so a batched client sees the same fix stream a
+// per-interval client would.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.lookup(w, r)
+	var req batchReq
+	fixes, ok := s.serveHTTP(w, r, &req, func() clientReq {
+		return clientReq{samples: req.Samples, scans: req.Scans, tick: true, t: req.T}
+	})
 	if !ok {
 		return
 	}
-	var req batchReq
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Samples) > s.opts.MaxIMUBatch {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d samples exceeds the %d-sample cap; split the upload",
-				len(req.Samples), s.opts.MaxIMUBatch))
-		return
-	}
-	for _, sc := range req.Scans {
-		if len(sc.RSS) != s.numAPs {
-			httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("scan has %d APs, deployment has %d", len(sc.RSS), s.numAPs))
-			return
-		}
-	}
-	var fixes []tracker.Fix
-	fpOnly := s.fingerprintOnly()
-	start := time.Now()
-	if !s.runSharded(w, ss, func(tk *tracker.Tracker) {
-		tk.SetFingerprintOnly(fpOnly)
-		for _, smp := range req.Samples {
-			tk.AddIMU(smp)
-		}
-		for _, sc := range req.Scans {
-			tk.AddScan(sc.T, fingerprint.Fingerprint(sc.RSS))
-		}
-		a0 := heapAllocBytes()
-		t0 := time.Now()
-		fixes = tk.TickBatch(req.T, nil)
-		s.met.tickSeconds.Observe(time.Since(t0).Seconds())
-		s.met.tickAllocBytes.Observe(float64(heapAllocBytes() - a0))
-	}) {
-		return
-	}
-	if len(fixes) > 0 {
-		s.met.fixSeconds.Observe(time.Since(start).Seconds())
-	}
 	resp := batchResp{Fixes: make([]fixResp, len(fixes))}
 	for i, fix := range fixes {
-		s.met.candidateSetSize.Observe(float64(len(fix.Candidates)))
-		if fix.Mode == tracker.ModeFingerprint {
-			s.met.fixesFingerprint.Inc()
-		} else {
-			s.met.fixesMoLoc.Inc()
-		}
 		resp.Fixes[i] = s.toResp(fix)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// serveHTTP is the JSON codec's call into the core: it resolves the
+// path's session, decodes the body into v, runs the request req builds
+// from it, and answers every failure itself. The fixes are
+// serveClient's, borrowed until the handler encodes them.
+//
+//moloc:reuse
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request, v interface{}, req func() clientReq) ([]tracker.Fix, bool) {
+	ss, ok := s.lookup(w, r)
+	if !ok || !s.decodeJSON(w, r, v) {
+		return nil, false
+	}
+	fixes, err := s.serveClient(ss, req(), nil)
+	if err != nil {
+		status := http.StatusInternalServerError
+		var ce *clientError
+		if errors.As(err, &ce) {
+			status = ce.status
+		}
+		httpError(w, status, err.Error())
+		return nil, false
+	}
+	return fixes, true
 }
 
 func (s *Server) toResp(fix tracker.Fix) fixResp {

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"moloc/internal/fingerprint"
 	"moloc/internal/motiondb"
 	"moloc/internal/sensors"
 	"moloc/internal/tracker"
@@ -61,13 +60,6 @@ func (sc *streamConn) writeAck(seq uint64, window uint32) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.wr.WriteAck(seq, window)
-	return sc.wr.Flush()
-}
-
-func (sc *streamConn) writeError(seq uint64, msg string) error {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.wr.WriteError(seq, msg)
 	return sc.wr.Flush()
 }
 
@@ -351,14 +343,13 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 func (s *Server) streamFail(sc *streamConn, seq uint64, msg string) {
 	s.met.streamErrors.Inc()
 	//lint:ignore errdrop the connection is being abandoned either way
-	_ = sc.writeError(seq, msg)
+	_ = sc.writeFrame(wire.FrameError, seq, []byte(msg))
 }
 
 // streamScratch is the per-connection reused decode state: observation,
-// IMU, and scan slices frames decode into. One connection serves one
-// frame at a time, so a single set suffices and steady-state frames
-// allocate nothing.
-//
+// IMU, and scan slices frames decode into, and the tick's fix buffer.
+// One connection serves one frame at a time, so a single set suffices
+// and steady-state decodes allocate nothing.
 type streamScratch struct {
 	//moloc:reuse
 	obs []motiondb.Observation
@@ -366,13 +357,17 @@ type streamScratch struct {
 	imu []sensors.Sample
 	//moloc:reuse
 	rss []float64
+	//moloc:reuse
+	fixes []tracker.Fix
+	scan  [1]scanReq
 }
 
 // serveStreamFrames is the connection's frame loop, and the streaming
 // twin of handleObservations' durability contract: acks are released
-// (commitStreamAcks → wire.Writer.WriteAck) only after the batches they
-// cover were appended to the WAL (acceptStreamBatch → wal.AppendNoSync)
-// and the covering fsync completed (GroupCommitter.WaitDurable). The
+// (wire.Writer.WriteAck) only after the batches they cover were
+// appended to the WAL (acceptStreamBatch → ingest) and the covering
+// fsync completed (waitDurable). This is the only place stream acks are
+// written. The
 // drain-then-commit shape — accept every fully buffered frame, then
 // commit once — is what batches a burst under a single fsync.
 //
@@ -397,44 +392,18 @@ func (s *Server) serveStreamFrames(rd *wire.Reader, sc *streamConn, st *streamSe
 		s.met.streamFrames.Inc()
 		switch fr.Type {
 		case wire.FrameObsBatch:
-			// Same write fence as the HTTP 409: a replica's WAL only ever
-			// holds what the leader shipped.
-			if s.role.Load() == roleFollower {
-				err := errors.New("read replica: send observation frames to the leader at " + s.opts.FollowAddr)
-				s.streamFail(sc, fr.Seq, err.Error())
-				return err
+			var accepted uint64
+			if accepted, err = s.acceptStreamBatch(st, fr, &scratch, &connExpect); err == nil {
+				ackWALSeq = max(ackWALSeq, accepted)
+				// A duplicate of an already-acked frame re-acks.
+				ackSeq = max(ackSeq, fr.Seq, st.acked())
 			}
-			accepted, err := s.acceptStreamBatch(st, fr, &scratch, &connExpect)
-			if err != nil {
-				s.streamFail(sc, fr.Seq, err.Error())
-				return err
-			}
-			if accepted > ackWALSeq {
-				ackWALSeq = accepted
-			}
-			if fr.Seq > ackSeq {
-				ackSeq = fr.Seq
-			}
-			if dup := st.acked(); ackSeq < dup {
-				ackSeq = dup // duplicate of an acked frame: re-ack
-			}
-		case wire.FrameIMUBatch:
-			if err := s.streamIMU(ss, fr, &scratch); err != nil {
-				s.streamFail(sc, fr.Seq, err.Error())
-				return err
-			}
-		case wire.FrameScan:
-			if err := s.streamScan(ss, fr, &scratch); err != nil {
-				s.streamFail(sc, fr.Seq, err.Error())
-				return err
-			}
-		case wire.FrameTick:
-			if err := s.streamTick(ss, sc, fr); err != nil {
-				s.streamFail(sc, fr.Seq, err.Error())
-				return err
-			}
+		case wire.FrameIMUBatch, wire.FrameScan, wire.FrameTick:
+			err = s.streamClient(ss, sc, fr, &scratch)
 		default:
-			err := fmt.Errorf("unexpected frame type %d", fr.Type)
+			err = fmt.Errorf("unexpected frame type %d", fr.Type)
+		}
+		if err != nil {
 			s.streamFail(sc, fr.Seq, err.Error())
 			return err
 		}
@@ -442,7 +411,12 @@ func (s *Server) serveStreamFrames(rd *wire.Reader, sc *streamConn, st *streamSe
 		// buffered does the covering fsync run and the cumulative ack go
 		// out — one ack (and at most one fsync wait) per burst.
 		if ackSeq > 0 && !rd.FrameBuffered() {
-			if err := s.commitStreamAcks(sc, st, ackSeq, ackWALSeq); err != nil {
+			if err := s.waitDurable(ackWALSeq); err != nil {
+				return err // the covering fsync failed: the frames must not be acked
+			}
+			st.setAcked(ackSeq, s.opts.Now())
+			s.met.streamAcks.Inc()
+			if err := sc.writeAck(ackSeq, s.streamWindow()); err != nil {
 				return err
 			}
 			ackSeq, ackWALSeq = 0, 0
@@ -452,14 +426,17 @@ func (s *Server) serveStreamFrames(rd *wire.Reader, sc *streamConn, st *streamSe
 
 // acceptStreamBatch decodes, validates, and durably enqueues one
 // observation-batch frame. The frame's payload bytes become the WAL
-// record payload unchanged (no re-encode); the append itself skips the
-// fsync (wal.AppendNoSync), which commitStreamAcks waits on. Returns
-// the WAL sequence to cover (0 for duplicates or with durability off).
-// Invalid observations inside a batch are dropped and counted, same as
-// WAL replay — a poison observation must not wedge the stream's resend
-// loop. A full queue blocks here (backpressure), shedding only at
-// server shutdown.
+// record payload unchanged (no re-encode); the frame loop waits for
+// the returned WAL sequence to be durable before acking (0 for
+// duplicates or with durability off). Invalid observations inside a
+// batch are dropped and counted (keepValid). A full queue blocks here
+// (backpressure), shedding only at server shutdown.
 func (s *Server) acceptStreamBatch(st *streamSession, fr wire.Frame, scratch *streamScratch, connExpect *uint64) (uint64, error) {
+	// Same write fence as the HTTP 409: a replica's WAL only ever holds
+	// what the leader shipped.
+	if s.role.Load() == roleFollower {
+		return 0, errors.New("read replica: send observation frames to the leader at " + s.opts.FollowAddr)
+	}
 	if fr.Seq <= st.acked() {
 		return 0, nil // duplicate of an acknowledged frame; caller re-acks
 	}
@@ -474,159 +451,57 @@ func (s *Server) acceptStreamBatch(st *streamSession, fr wire.Frame, scratch *st
 	if len(obs) > s.opts.MaxObsBatch {
 		return 0, fmt.Errorf("batch of %d observations exceeds the %d cap", len(obs), s.opts.MaxObsBatch)
 	}
-	numLocs := s.plan.NumLocs()
-	valid := obs[:0]
-	droppedHere := 0
-	for _, o := range obs {
-		if validateObservation(o, numLocs) != nil {
-			droppedHere++
-			continue
-		}
-		valid = append(valid, o)
+	valid, dropped := keepValid(obs, s.plan.NumLocs())
+	s.met.observationsDropped.Add(dropped)
+	seq, err := s.ingest(fr.Payload, valid, true)
+	if err != nil {
+		return 0, err
 	}
-	if droppedHere > 0 {
-		s.met.observationsDropped.Add(int64(droppedHere))
-	}
-	for {
-		seq, ok, err := s.retrain.enqueueStream(s.store, fr.Payload, valid)
-		if err != nil {
-			s.met.walAppendErrors.Inc()
-			s.setState(stateDegraded)
-			return 0, fmt.Errorf("observation log unavailable: %w", err)
-		}
-		if ok {
-			*connExpect = fr.Seq + 1
-			if s.store != nil {
-				s.met.walAppends.Inc()
-			}
-			s.met.observationsIn.Add(int64(len(valid)))
-			return seq, nil
-		}
-		// Queue full: hold the frame (credit already throttles the
-		// client; this is the backstop) until a retrain drains it or the
-		// server shuts down.
-		if s.waitDone(2 * time.Millisecond) {
-			return 0, errors.New("server shutting down")
-		}
-	}
+	*connExpect = fr.Seq + 1
+	return seq, nil
 }
 
-// commitStreamAcks waits for the covering fsync and releases the
-// cumulative ack. Per the //moloc:durable contract this is the only
-// place stream acks are written, and it runs strictly after the
-// covered appends (lexically and dynamically).
-func (s *Server) commitStreamAcks(sc *streamConn, st *streamSession, ackSeq, ackWALSeq uint64) error {
-	if s.group != nil && ackWALSeq > 0 {
-		if err := s.group.WaitDurable(ackWALSeq); err != nil {
-			// The covering fsync failed: the frames must not be acked.
-			// Degrade exactly as the HTTP path does on an append error.
-			s.met.walAppendErrors.Inc()
-			s.setState(stateDegraded)
+// streamClient is the stream codec over serveClient (server.go): it
+// decodes an IMU, Scan or Tick frame into the transport-neutral request
+// and answers a Tick with FrameFix (the newest fix) or FrameNoFix,
+// echoing the frame's sequence.
+func (s *Server) streamClient(ss *session, sc *streamConn, fr wire.Frame, scratch *streamScratch) error {
+	if ss == nil {
+		return errors.New("data frame on a stream with no tracking session")
+	}
+	var req clientReq
+	switch fr.Type {
+	case wire.FrameIMUBatch:
+		samples, err := wire.DecodeIMU(fr.Payload, scratch.imu)
+		if err != nil {
+			return fmt.Errorf("imu frame %d: %w", fr.Seq, err)
+		}
+		scratch.imu, req.samples = samples, samples
+	case wire.FrameScan:
+		t, rss, err := wire.DecodeScan(fr.Payload, scratch.rss)
+		if err != nil {
+			return fmt.Errorf("scan frame %d: %w", fr.Seq, err)
+		}
+		scratch.rss = rss
+		// The tracker buffers a scan until its interval closes, so the
+		// readings must outlive this frame's decode buffer.
+		scratch.scan[0] = scanReq{T: t, RSS: append([]float64(nil), rss...)}
+		req.scans = scratch.scan[:]
+	default:
+		t, err := wire.DecodeTick(fr.Payload)
+		if err != nil {
 			return err
 		}
+		req.tick, req.t = true, t
 	}
-	now := s.opts.Now()
-	st.setAcked(ackSeq, now)
-	s.met.streamAcks.Inc()
-	return sc.writeAck(ackSeq, s.streamWindow())
-}
-
-// streamIMU feeds an IMU-batch frame to the scoped tracking session via
-// the sharded worker pool (same queueing discipline as the HTTP path).
-func (s *Server) streamIMU(ss *session, fr wire.Frame, scratch *streamScratch) error {
-	if ss == nil {
-		return errors.New("imu frame on a stream with no tracking session")
-	}
-	samples, err := wire.DecodeIMU(fr.Payload, scratch.imu)
-	if err != nil {
-		return fmt.Errorf("imu frame %d: %w", fr.Seq, err)
-	}
-	scratch.imu = samples
-	if len(samples) > s.opts.MaxIMUBatch {
-		return fmt.Errorf("imu batch of %d samples exceeds the %d-sample cap", len(samples), s.opts.MaxIMUBatch)
-	}
-	return s.runStreamSharded(ss, func(tk *tracker.Tracker) {
-		for _, smp := range samples {
-			tk.AddIMU(smp)
-		}
-	})
-}
-
-// streamScan feeds one scan frame to the scoped tracking session.
-func (s *Server) streamScan(ss *session, fr wire.Frame, scratch *streamScratch) error {
-	if ss == nil {
-		return errors.New("scan frame on a stream with no tracking session")
-	}
-	t, rss, err := wire.DecodeScan(fr.Payload, scratch.rss)
-	if err != nil {
-		return fmt.Errorf("scan frame %d: %w", fr.Seq, err)
-	}
-	scratch.rss = rss
-	if len(rss) != s.numAPs {
-		return fmt.Errorf("scan has %d APs, deployment has %d", len(rss), s.numAPs)
-	}
-	return s.runStreamSharded(ss, func(tk *tracker.Tracker) {
-		tk.AddScan(t, fingerprint.Fingerprint(rss))
-	})
-}
-
-// streamTick advances the scoped session and answers FrameFix or
-// FrameNoFix with the tick frame's sequence.
-func (s *Server) streamTick(ss *session, sc *streamConn, fr wire.Frame) error {
-	if ss == nil {
-		return errors.New("tick frame on a stream with no tracking session")
-	}
-	t, err := wire.DecodeTick(fr.Payload)
-	if err != nil {
+	fixes, err := s.serveClient(ss, req, scratch.fixes[:0])
+	scratch.fixes = fixes
+	if err != nil || !req.tick {
 		return err
 	}
-	var (
-		fix    tracker.Fix
-		gotFix bool
-	)
-	fpOnly := s.fingerprintOnly()
-	if err := s.runStreamSharded(ss, func(tk *tracker.Tracker) {
-		tk.SetFingerprintOnly(fpOnly)
-		fix, gotFix = tk.Tick(t)
-	}); err != nil {
-		return err
-	}
-	if !gotFix {
+	if len(fixes) == 0 {
 		return sc.writeFrame(wire.FrameNoFix, fr.Seq, nil)
 	}
-	if fix.Mode == tracker.ModeFingerprint {
-		s.met.fixesFingerprint.Inc()
-	} else {
-		s.met.fixesMoLoc.Inc()
-	}
+	fix := fixes[len(fixes)-1]
 	return sc.writeFrame(wire.FrameFix, fr.Seq, wire.AppendFix(nil, fix.T, fix.Loc, fix.Moved))
-}
-
-// runStreamSharded is runSharded for the streaming plane: same worker
-// pool, same panic recovery, error return instead of HTTP status.
-func (s *Server) runStreamSharded(ss *session, fn func(tk *tracker.Tracker)) error {
-	now := s.opts.Now()
-	alive := false
-	panicked := true
-	if !s.pool.run(ss.id, func() {
-		defer func() {
-			if !panicked {
-				return
-			}
-			if rec := recover(); rec != nil {
-				s.met.panicsRecovered.Inc()
-			}
-		}()
-		alive = ss.withTracker(now, fn)
-		panicked = false
-	}) {
-		return errors.New("server shutting down")
-	}
-	if panicked {
-		return errors.New("internal error")
-	}
-	if !alive {
-		return errors.New("session expired")
-	}
-	return nil
 }

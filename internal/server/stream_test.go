@@ -7,7 +7,9 @@ package server
 import (
 	"encoding/json"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -75,6 +77,27 @@ func TestStreamIngestDurableAck(t *testing.T) {
 	if srv.met.streamAcks.Value() == 0 || srv.met.streamConns.Value() != 1 {
 		t.Fatalf("stream metrics: acks=%d conns=%d",
 			srv.met.streamAcks.Value(), srv.met.streamConns.Value())
+	}
+
+	// The same batches over JSON land through the same ingest path: a
+	// byte-identical WAL, the same observations_in, and every 202 waited
+	// on the group committer exactly as every stream ack did.
+	jsrv := durableServer(t, sys, Options{DataDir: t.TempDir()})
+	defer jsrv.Close()
+	ts := httptest.NewServer(jsrv.Handler())
+	defer ts.Close()
+	for i := 0; i < frames; i++ {
+		postObs(t, ts, batch, http.StatusAccepted)
+	}
+	streamWAL, jsonWAL := walDump(t, srv.store.log), walDump(t, jsrv.store.log)
+	if len(streamWAL) != frames || !reflect.DeepEqual(streamWAL, jsonWAL) {
+		t.Fatalf("WAL records differ: stream %d records, JSON %d", len(streamWAL), len(jsonWAL))
+	}
+	if got, want := jsrv.met.observationsIn.Value(), srv.met.observationsIn.Value(); got != want || got != frames*int64(len(batch)) {
+		t.Fatalf("observations_in: JSON %d, stream %d, want %d", got, want, frames*len(batch))
+	}
+	if gst := jsrv.GroupStats(); gst.Batches != frames {
+		t.Fatalf("JSON ingest: wal_group_batches = %d, want one durability wait per batch (%d)", gst.Batches, frames)
 	}
 	if _, err := srv.RetrainNow(); err != nil {
 		t.Fatal(err)

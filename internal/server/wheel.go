@@ -26,6 +26,7 @@
 package server
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -322,14 +323,7 @@ func (s *Server) tickOnePaced(e *pacedEntry, cmp *motiondb.Compiled, fpOnly bool
 		return true
 	}
 	s.met.pacedFixSeconds.Observe(time.Since(fired).Seconds())
-	for i := range sc.fixes {
-		s.met.candidateSetSize.Observe(float64(len(sc.fixes[i].Candidates)))
-		if sc.fixes[i].Mode == tracker.ModeFingerprint {
-			s.met.fixesFingerprint.Inc()
-		} else {
-			s.met.fixesMoLoc.Inc()
-		}
-	}
+	s.countFixes(sc.fixes)
 	if push != nil {
 		s.pushFixes(push, sc)
 	}
@@ -364,27 +358,8 @@ func pacedInterval(sec float64) time.Duration {
 func (s *Server) registerPoolGauges() {
 	for wi := range s.pool.queues {
 		w := wi
-		s.met.reg.Gauge(gaugeName("worker_queue_depth", w),
+		s.met.reg.Gauge("worker_queue_depth{worker="+strconv.Itoa(w)+"}",
 			func() int64 { return int64(s.pool.queueDepth(w)) })
 	}
 	s.met.reg.Gauge("paced_scheduled", s.wheel.scheduled)
-}
-
-func gaugeName(base string, worker int) string {
-	return base + "{worker=" + itoa(worker) + "}"
-}
-
-// itoa is strconv.Itoa for small non-negative ints without the import.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
