@@ -29,8 +29,9 @@ func BenchmarkReplApply(b *testing.B) {
 	// The leader never retrains (Start is not called and the queue cap
 	// absorbs the whole preload), so nothing checkpoints, nothing
 	// truncates, FirstSeq stays 1, and the blank follower always takes
-	// the tail path. Small sealed segments keep the leader's per-burst
-	// WAL read bounded by one segment instead of the whole log.
+	// the tail path. The 64 KiB segments only keep this benchmark
+	// comparable with its pinned history: the leader's per-connection
+	// WAL reader reads each record once whatever the segment size.
 	leader, err := server.NewWithOptions(sys.Plan, src, sys.Model.NumAPs(), sys.MDB, sys.Config.Motion,
 		server.Options{
 			DataDir:         b.TempDir(),

@@ -55,10 +55,10 @@ type Source interface {
 	NextSeq() uint64
 	// CkptSeq is the coverage of the newest checkpoint (0 when none).
 	CkptSeq() uint64
-	// ReadWAL streams up to max records with sequences >= from through
-	// fn and returns the next cursor; wal.ErrTruncated demands a
-	// checkpoint bootstrap instead.
-	ReadWAL(from uint64, max int, fn func(seq uint64, payload []byte) error) (uint64, error)
+	// NewWALReader opens an incremental cursor over the WAL for one
+	// connection; the leader closes it when the connection ends. Its
+	// wal.ErrTruncated demands a checkpoint bootstrap.
+	NewWALReader() *wal.Reader
 }
 
 // LeaderOptions tune one replication connection; the zero value works.
@@ -254,8 +254,12 @@ func (ld *Leader) readAcks(rd *wire.Reader, st *ackState) {
 
 // stream is the serve loop: bootstrap when the cursor is truncated,
 // otherwise tail the WAL under the follower's credit window, publishing
-// position on the heartbeat cadence.
+// position on the heartbeat cadence. The connection owns one WAL
+// reader, so followers never share a cursor.
 func (ld *Leader) stream(wr *wire.Writer, st *ackState, cursor uint64) error {
+	tail := ld.src.NewWALReader()
+	defer tail.Close()
+	var poll *time.Timer
 	var lastPublish time.Time
 	publish := func() error {
 		wr.WriteFrame(wire.FramePublish, 0, wire.AppendPublish(nil, ld.src.NextSeq()-1, ld.src.CkptSeq()))
@@ -290,7 +294,7 @@ func (ld *Leader) stream(wr *wire.Writer, st *ackState, cursor uint64) error {
 			return derr
 		}
 		wrote := 0
-		next, err := ld.src.ReadWAL(cursor, credit, func(seq uint64, payload []byte) error {
+		next, err := tail.ReadFrom(cursor, credit, func(seq uint64, payload []byte) error {
 			wr.WriteFrame(wire.FrameWALSegment, seq, payload)
 			wrote++
 			// Bound the write buffer: flush every few frames so a slow
@@ -326,9 +330,14 @@ func (ld *Leader) stream(wr *wire.Writer, st *ackState, cursor uint64) error {
 		if wrote == 0 {
 			// Caught up: poll the tail. The done watcher severs the conn
 			// on shutdown, so a bounded sleep (not a wakeup channel) is
-			// enough to stay responsive.
-			timer := time.NewTimer(ld.o.Poll)
-			<-timer.C
+			// enough to stay responsive. The timer always fires before
+			// the next Reset, so one serves the whole connection.
+			if poll == nil {
+				poll = time.NewTimer(ld.o.Poll)
+			} else {
+				poll.Reset(ld.o.Poll)
+			}
+			<-poll.C
 		}
 	}
 }

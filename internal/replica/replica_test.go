@@ -36,9 +36,7 @@ func (s *testSource) CkptSeq() uint64 {
 	}
 	return 0
 }
-func (s *testSource) ReadWAL(from uint64, max int, fn func(uint64, []byte) error) (uint64, error) {
-	return s.log.ReadFrom(from, max, fn)
-}
+func (s *testSource) NewWALReader() *wal.Reader { return s.log.NewReader() }
 
 // testApplier implements Applier over its own WAL, recording every
 // InstallSnapshot payload so tests can assert no partial checkpoint is
@@ -252,6 +250,63 @@ func TestFollowerTailsLeader(t *testing.T) {
 	}
 	if ap.dups != 0 {
 		t.Fatalf("clean run applied %d duplicates", ap.dups)
+	}
+}
+
+// TestTwoFollowersTailWhileLeaderRotates: two followers at different
+// cursors and windows tail one leader while it appends across many
+// small segments. Each connection owns its WAL reader, so both end
+// byte-identical to the leader; under -race this also pins that the
+// readers share no state with each other or with the appender.
+func TestTwoFollowersTailWhileLeaderRotates(t *testing.T) {
+	const total = 300
+	src := newLeaderWorld(t, 10, 96)
+	addr := startLeader(t, src, fastLeaderOpts())
+
+	apA, apB := newTestApplier(t), newTestApplier(t)
+	fA := NewFollower(apA, FollowerOptions{Addr: addr, Window: 4, RedialWait: 2 * time.Millisecond})
+	runFollower(t, fA)
+
+	appended := make(chan error, 1)
+	go func() {
+		for i := 11; i <= total; i++ {
+			if _, err := src.log.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+				appended <- err
+				return
+			}
+			if i%16 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		appended <- nil
+	}()
+	// B joins mid-stream, from scratch, while A is already tailing.
+	waitFor(t, 5*time.Second, func() bool { return fA.Status().Applied >= 40 },
+		"follower A applied %d", fA.Status().Applied)
+	fB := NewFollower(apB, FollowerOptions{Addr: addr, Window: 64, RedialWait: 2 * time.Millisecond})
+	runFollower(t, fB)
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	if segs := src.log.Segments(); segs < 10 {
+		t.Fatalf("leader has %d segments; rotation never exercised", segs)
+	}
+
+	for _, f := range []*Follower{fA, fB} {
+		waitFor(t, 10*time.Second, func() bool { return f.Status().Applied == total },
+			"follower applied %d of %d", f.Status().Applied, total)
+	}
+	want := walRecords(t, src.log)
+	for name, ap := range map[string]*testApplier{"A": apA, "B": apB} {
+		got := walRecords(t, ap.log)
+		if len(got) != total {
+			t.Fatalf("follower %s holds %d records, want %d", name, len(got), total)
+		}
+		for seq, rec := range want {
+			if got[seq] != rec {
+				t.Fatalf("follower %s record %d: %q, leader %q", name, seq, got[seq], rec)
+			}
+		}
 	}
 }
 

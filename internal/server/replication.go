@@ -28,6 +28,7 @@ import (
 	"moloc/internal/checkpoint"
 	"moloc/internal/motiondb"
 	"moloc/internal/replica"
+	"moloc/internal/wal"
 	"moloc/internal/wire"
 )
 
@@ -68,9 +69,7 @@ func (rs replSource) CkptSeq() uint64 {
 	return rt.ckptSeq
 }
 
-func (rs replSource) ReadWAL(from uint64, max int, fn func(seq uint64, payload []byte) error) (uint64, error) {
-	return rs.s.store.log.ReadFrom(from, max, fn)
-}
+func (rs replSource) NewWALReader() *wal.Reader { return rs.s.store.log.NewReader() }
 
 // serveRepl runs the leader side of one replication connection whose
 // hello frame already arrived. Dispatched from handleStreamConn; the
@@ -121,13 +120,9 @@ func (ra *replApplier) LastApplied() uint64 {
 // scratch — a partial install is never visible.
 func (ra *replApplier) InstallSnapshot(ckptSeq uint64, payload []byte) error {
 	s := ra.s
-	// Discard un-folded pre-snapshot observations first: records at or
-	// below ckptSeq are already folded into the incoming checkpoint, and
-	// the restore below replaces the builder they would have fed.
-	rt := s.retrain
-	rt.mu.Lock()
-	rt.pending = rt.pending[:0]
-	rt.mu.Unlock()
+	// The install swaps in a fresh builder and drops the queued
+	// observations: everything at or below ckptSeq is already folded
+	// into the incoming checkpoint.
 	if err := s.installCheckpoint(payload); err != nil {
 		return fmt.Errorf("server: replicated checkpoint rejected: %w", err)
 	}
@@ -139,6 +134,7 @@ func (ra *replApplier) InstallSnapshot(ckptSeq uint64, payload []byte) error {
 	if err := checkpoint.Prune(s.opts.FS, s.store.ckptDir, s.opts.CheckpointRetain); err != nil {
 		s.met.checkpointErrors.Inc()
 	}
+	rt := s.retrain
 	rt.mu.Lock()
 	rt.ckptSeq = ckptSeq
 	if rt.lastSeq < ckptSeq {

@@ -466,3 +466,96 @@ func TestReplBootstrapFromCheckpointTornTransfer(t *testing.T) {
 	}
 	sameTrainState(t, leader, fol)
 }
+
+// connGate stalls reads on the connections it wraps while paused,
+// standing in for a follower too slow to keep up with its leader.
+type connGate struct{ mu sync.RWMutex }
+
+func (g *connGate) pause()  { g.mu.Lock() }
+func (g *connGate) resume() { g.mu.Unlock() }
+
+func (g *connGate) wrap(c net.Conn) net.Conn { return &gatedConn{Conn: c, g: g} }
+
+type gatedConn struct {
+	net.Conn
+	g *connGate
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	c.g.mu.RLock()
+	c.g.mu.RUnlock()
+	return c.Conn.Read(p)
+}
+
+// TestReplFollowerRebootstrapsMidRun: a connected follower whose
+// builder already holds folded samples falls behind a leader that
+// checkpoints and truncates the follower's cursor out of its WAL. The
+// leader re-bootstraps it on the same connection, and the follower must
+// install the checkpoint over its trained state — not refuse it and
+// loop on redials — and converge to bit-identical training state.
+func TestReplFollowerRebootstrapsMidRun(t *testing.T) {
+	sys := buildSys(t)
+	leader := durableServer(t, sys, Options{DataDir: t.TempDir(), WALSegmentBytes: 256})
+	defer leader.Close()
+	addr := startStream(t, leader)
+
+	var gate connGate
+	var dials atomic.Int32
+	dial := func() (net.Conn, error) {
+		dials.Add(1)
+		cn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return gate.wrap(cn), nil
+	}
+	// A two-record window holds the leader's cursor close behind the
+	// follower's acks.
+	fol := durableServer(t, sys, Options{
+		DataDir:      t.TempDir(),
+		FollowAddr:   "leader-0",
+		ReplDial:     dial,
+		StreamWindow: 2,
+	})
+	fol.Start()
+	defer fol.Close()
+
+	pair := firstPair(t, sys.MDB)
+	batch := obsNear(sys.Plan, pair[0], pair[1], 10)
+	streamFrames(t, addr, "phone-a", batch, 4)
+	tail := leader.store.log.NextSeq() - 1
+	waitUntil(t, "follower catch-up", func() bool {
+		return fol.ReplicationStatus().Applied == tail
+	})
+	// Fold on the follower: its builder now holds samples.
+	if _, err := fol.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stall the follower, write well past its window, and checkpoint:
+	// the sealed segments under the follower's cursor go away.
+	gate.pause()
+	streamFrames(t, addr, "phone-b", batch, 12)
+	if _, err := leader.RetrainNow(); err != nil {
+		gate.resume()
+		t.Fatal(err)
+	}
+	first := leader.store.log.FirstSeq()
+	gate.resume()
+	if first <= tail+6 {
+		t.Fatalf("leader FirstSeq = %d after checkpoint; the follower's cursor (<= %d) was not truncated", first, tail+6)
+	}
+	tail2 := leader.store.log.NextSeq() - 1
+	waitUntil(t, "re-bootstrapped follower catch-up", func() bool {
+		return fol.ReplicationStatus().Applied == tail2
+	})
+
+	st := fol.ReplicationStatus()
+	if st.SnapshotsInstalled != 1 {
+		t.Fatalf("snapshots installed = %d, want 1", st.SnapshotsInstalled)
+	}
+	if n := dials.Load(); n != 1 || st.Resumes != 0 {
+		t.Fatalf("dials = %d, resumes = %d; want the re-bootstrap on the first connection", n, st.Resumes)
+	}
+	sameTrainState(t, leader, fol)
+}

@@ -38,6 +38,8 @@ import (
 type retrainer struct {
 	alpha, beta float64
 	queueCap    int
+	plan        *floorplan.Plan
+	graph       *floorplan.WalkGraph // nil: no adjacency filter
 
 	mu      sync.Mutex
 	pending []motiondb.Observation
@@ -56,26 +58,38 @@ type retrainer struct {
 // serving database, with the builder compiled for the sessions'
 // localizer parameters.
 func newRetrainer(plan *floorplan.Plan, mdb *motiondb.DB, lcfg localizer.Config, o Options) (*retrainer, error) {
+	rt := &retrainer{
+		alpha:    lcfg.Alpha,
+		beta:     lcfg.Beta,
+		queueCap: o.ObsQueueCap,
+		plan:     plan,
+		graph:    o.TrainGraph,
+		db:       mdb.Clone(),
+	}
+	b, err := rt.newBuilder()
+	if err != nil {
+		return nil, err
+	}
+	rt.builder = b
+	return rt, nil
+}
+
+// newBuilder returns an empty training builder.
+func (rt *retrainer) newBuilder() (*motiondb.Builder, error) {
 	bcfg := motiondb.NewBuilderConfig()
 	// The map fallback would replace offline-trained entries of touched
 	// but still undertrained pairs with wide map-derived priors; online
 	// training must only ever override an edge once enough real samples
 	// survive sanitation.
 	bcfg.MapFallback = false
-	b, err := motiondb.NewBuilder(plan, bcfg)
+	b, err := motiondb.NewBuilder(rt.plan, bcfg)
 	if err != nil {
 		return nil, err
 	}
-	if o.TrainGraph != nil {
-		b.UseGraph(o.TrainGraph)
+	if rt.graph != nil {
+		b.UseGraph(rt.graph)
 	}
-	return &retrainer{
-		alpha:    lcfg.Alpha,
-		beta:     lcfg.Beta,
-		queueCap: o.ObsQueueCap,
-		builder:  b,
-		db:       mdb.Clone(),
-	}, nil
+	return b, nil
 }
 
 // pendingLen reports the queued observation count.
@@ -119,17 +133,24 @@ func (rt *retrainer) initSeqs(ckptSeq, lastSeq uint64) {
 	rt.ckptSeq, rt.lastSeq = ckptSeq, lastSeq
 }
 
-// restore replaces the training state with a recovered checkpoint's: db
-// becomes the training database and the builder accumulators are
-// rebuilt from the serialized state. Only called at boot, before any
-// ingest can race.
+// restore replaces the training state with a checkpoint's: db becomes
+// the training database, the builder accumulators are rebuilt from the
+// serialized state into a fresh builder, and the queued observations —
+// already folded into the checkpoint — are discarded, all in one swap
+// under rt.mu. Boot recovery calls it before any ingest; a follower's
+// mid-run bootstrap calls it over accumulated training state.
 func (rt *retrainer) restore(db *motiondb.DB, builderState []byte) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if err := rt.builder.RestoreState(builderState); err != nil {
+	b, err := rt.newBuilder()
+	if err != nil {
 		return err
 	}
-	rt.db = db
+	if err := b.RestoreState(builderState); err != nil {
+		return err
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.builder, rt.db = b, db
+	rt.pending = rt.pending[:0]
 	return nil
 }
 

@@ -7,7 +7,6 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 )
 
@@ -68,34 +67,4 @@ func decodeRecord(b []byte, maxPayload int) (seq uint64, payload []byte, n int, 
 	}
 	seq = binary.LittleEndian.Uint64(b[8:16])
 	return seq, b[headerSize : headerSize+plen], headerSize + plen, nil
-}
-
-// scanRecords walks the records in data, calling fn for each valid one
-// and enforcing sequence continuity from wantSeq. It returns the byte
-// offset of the first defect (or len(data) when the scan is clean), the
-// number of valid records, and the defect itself (nil for a clean
-// scan). A short or corrupt frame stops the scan — the caller decides
-// whether that is a truncatable torn tail or reportable corruption.
-func scanRecords(data []byte, wantSeq uint64, maxPayload int,
-	fn func(seq uint64, payload []byte) error) (offset int64, records int, defect, err error) {
-	off := 0
-	for off < len(data) {
-		seq, payload, n, derr := decodeRecord(data[off:], maxPayload)
-		if derr != nil {
-			return int64(off), records, derr, nil
-		}
-		if seq != wantSeq {
-			return int64(off), records,
-				fmt.Errorf("wal: sequence discontinuity: record %d where %d expected", seq, wantSeq), nil
-		}
-		if fn != nil {
-			if err := fn(seq, payload); err != nil {
-				return int64(off), records, nil, err
-			}
-		}
-		off += n
-		records++
-		wantSeq++
-	}
-	return int64(off), records, nil, nil
 }

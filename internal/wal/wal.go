@@ -22,7 +22,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -154,7 +153,7 @@ type Log struct {
 	segs      []segment // sorted; last is active
 	f         fault.File
 	size      int64 // durable-consistent size of the active segment; SegmentBytes doubles as a force-rotation sentinel
-	tail      int64 // exact valid byte length of the last segment (no sentinel) — the read limit for ReadFrom
+	tail      int64 // exact valid byte length of the last segment (no sentinel) — the read limit for Readers
 	nextSeq   uint64
 	lastSync  time.Time
 	torn      bool // a failed write may have left a partial record
@@ -211,6 +210,7 @@ func Open(dir string, o Options, fn func(seq uint64, payload []byte) error) (*Lo
 	if len(l.segs) > 0 {
 		l.nextSeq = l.segs[0].first
 	}
+	sr := segReader{maxRec: o.MaxRecordBytes}
 	var lastSize int64
 	for i := 0; i < len(l.segs); i++ {
 		seg := l.segs[i]
@@ -223,24 +223,20 @@ func Open(dir string, o Options, fn func(seq uint64, payload []byte) error) (*Lo
 		}
 		l.nextSeq = seg.first
 		path := filepath.Join(dir, seg.name)
-		data, err := readFile(fs, path)
+		recs, torn, err := replaySegment(fs, path, seg.first, &sr, fn)
 		if err != nil {
-			return nil, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		off, recs, defect, err := scanRecords(data, seg.first, o.MaxRecordBytes, fn)
-		if err != nil {
-			return nil, fmt.Errorf("wal: replay %s: %w", path, err)
+			return nil, err
 		}
 		l.nextSeq += uint64(recs)
 		l.openStats.Records += recs
-		lastSize = off
-		if defect != nil {
+		lastSize = sr.off
+		if torn > 0 {
 			// Torn tail (or mid-log corruption): cut the segment back to
 			// its last valid record and drop anything after it.
-			if err := fs.Truncate(path, off); err != nil {
+			if err := fs.Truncate(path, sr.off); err != nil {
 				return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
 			}
-			l.openStats.TornBytes += int64(len(data)) - off
+			l.openStats.TornBytes += torn
 			l.openStats.Truncations++
 			l.dropFromLocked(i + 1)
 			break
@@ -278,19 +274,6 @@ func (l *Log) dropFromLocked(i int) {
 	l.segs = l.segs[:i]
 }
 
-func readFile(fs fault.FS, path string) ([]byte, error) {
-	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(f)
-	cerr := f.Close()
-	if err != nil {
-		return nil, err
-	}
-	return data, cerr
-}
-
 // OpenStats reports what Open replayed and repaired.
 func (l *Log) OpenStats() ReplayStats {
 	l.mu.Lock()
@@ -324,151 +307,11 @@ func (l *Log) FirstSeq() uint64 {
 	return l.nextSeq
 }
 
-// SegmentInfo describes one live segment file, for replication shipping
-// and diagnostics.
-type SegmentInfo struct {
-	Name  string
-	First uint64 // sequence number of the segment's first record
-}
-
-// SegmentsSince returns the live segments that may hold records with
-// sequence numbers >= seq, oldest first.
-func (l *Log) SegmentsSince(seq uint64) []SegmentInfo {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Keep the last segment whose first record is <= seq (it may contain
-	// seq) and everything after it.
-	start := 0
-	for i, seg := range l.segs {
-		if seg.first <= seq {
-			start = i
-		}
-	}
-	out := make([]SegmentInfo, 0, len(l.segs)-start)
-	for _, seg := range l.segs[start:] {
-		out = append(out, SegmentInfo{Name: seg.name, First: seg.first})
-	}
-	return out
-}
-
-// ErrTruncated reports a ReadFrom whose requested sequence is no longer
+// ErrTruncated reports a read whose requested sequence is no longer
 // materialized in the log — truncated behind a checkpoint, or falling
 // in a sequence jump introduced by EnsureSeqAtLeast. The reader must
 // restart from a checkpoint covering at least that sequence.
 var ErrTruncated = errors.New("wal: requested sequence truncated away")
-
-// errStopScan is fn's way to end a ReadFrom scan early once the record
-// budget is spent; never escapes to callers.
-var errStopScan = errors.New("wal: stop scan")
-
-// readSeg is a consistent point-in-time view of one segment file taken
-// under l.mu: sealed segments are immutable and read whole (limit < 0);
-// the active segment is read only up to its valid tail at snapshot
-// time, so a concurrent append or torn write past it is never observed.
-type readSeg struct {
-	path  string
-	first uint64
-	limit int64
-}
-
-// ReadFrom streams up to max records with sequence numbers >= from
-// through fn, in order, and returns the next sequence to request.
-// next == from with a nil error means the caller is caught up. Safe to
-// call concurrently with appends: the files are read outside l.mu from
-// a snapshot of the segment list. The payload passed to fn aliases a
-// per-call read buffer and is only valid during the callback.
-func (l *Log) ReadFrom(from uint64, max int, fn func(seq uint64, payload []byte) error) (next uint64, err error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return from, ErrClosed
-	}
-	first := l.nextSeq
-	if len(l.segs) > 0 {
-		first = l.segs[0].first
-	}
-	if from < first {
-		l.mu.Unlock()
-		return from, ErrTruncated
-	}
-	if from >= l.nextSeq || max <= 0 {
-		l.mu.Unlock()
-		return from, nil
-	}
-	var snaps []readSeg
-	for i, seg := range l.segs {
-		// end overestimates across an EnsureSeqAtLeast jump; that only
-		// costs a skippable read, never skips a holding segment.
-		end := l.nextSeq
-		if i+1 < len(l.segs) {
-			end = l.segs[i+1].first
-		}
-		if end <= from {
-			continue
-		}
-		rs := readSeg{path: filepath.Join(l.dir, seg.name), first: seg.first, limit: -1}
-		if i == len(l.segs)-1 {
-			rs.limit = l.tail
-		}
-		snaps = append(snaps, rs)
-	}
-	l.mu.Unlock()
-
-	next = from
-	count := 0
-	for _, rs := range snaps {
-		data, rerr := readFile(l.fs, rs.path)
-		if rerr != nil {
-			if errors.Is(rerr, os.ErrNotExist) {
-				// Raced a checkpoint truncation; the checkpoint covers it.
-				return next, ErrTruncated
-			}
-			return next, fmt.Errorf("wal: read %s: %w", rs.path, rerr)
-		}
-		if rs.limit >= 0 && int64(len(data)) > rs.limit {
-			data = data[:rs.limit]
-		}
-		gap := false
-		_, _, defect, serr := scanRecords(data, rs.first, l.o.MaxRecordBytes, func(seq uint64, payload []byte) error {
-			if seq < next {
-				return nil // below the cursor; already delivered
-			}
-			if seq != next {
-				// A jump at a segment boundary (EnsureSeqAtLeast): the
-				// missing range exists only as checkpoint coverage.
-				gap = true
-				return errStopScan
-			}
-			if err := fn(seq, payload); err != nil {
-				return err
-			}
-			next = seq + 1
-			count++
-			if count >= max {
-				return errStopScan
-			}
-			return nil
-		})
-		if gap {
-			return next, ErrTruncated
-		}
-		if serr != nil {
-			if errors.Is(serr, errStopScan) {
-				return next, nil
-			}
-			return next, serr
-		}
-		if defect != nil {
-			return next, fmt.Errorf("wal: scan %s: %w", rs.path, defect)
-		}
-	}
-	if count == 0 {
-		// from is below NextSeq yet no record carries it: it fell in a
-		// sequence jump whose range only a checkpoint covers.
-		return next, ErrTruncated
-	}
-	return next, nil
-}
 
 // EnsureSeqAtLeast guarantees the next append's sequence number exceeds
 // seq. The server calls it after checkpoint recovery so new records can
