@@ -1,6 +1,6 @@
 // City-scale serving benchmarks (PR 9): the striped session registry
 // under concurrent lookups (BenchmarkSessionShards) and the
-// server-paced tick wheel's batch throughput (BenchmarkTickWheel).
+// server-paced sweeps' throughput (BenchmarkTickWheel).
 // Pinned in BENCH_PR9.json; `make bench-diff` gates them against the
 // previous PR's artifact.
 package moloc_test
@@ -20,7 +20,7 @@ import (
 	"moloc/internal/server"
 )
 
-// benchClock is a hand-advanced clock for driving the tick wheel
+// benchClock is a hand-advanced clock for driving the paced sweeps
 // deterministically from a benchmark loop.
 type benchClock struct {
 	mu  sync.Mutex
@@ -128,11 +128,16 @@ func BenchmarkSessionShards(b *testing.B) {
 	}
 }
 
+// tickWheelWait bounds one BenchmarkTickWheel round.
+const tickWheelWait = 10 * time.Second
+
 // BenchmarkTickWheel measures the paced serving path end to end: one
-// iteration advances the wheel by one interval and waits for all n
-// sessions' ticks to complete on the pool workers — the batched
-// equivalent of n client /tick requests. ns/op is therefore the cost
-// of one full paced round over n sessions.
+// iteration advances the clock by one interval, queues the per-worker
+// sweeps, and waits for all n sessions' ticks to complete on the pool
+// workers — the batched equivalent of n client /tick requests. ns/op is
+// therefore the cost of one full paced round over n sessions. A round
+// that has not finished after tickWheelWait fails the benchmark, so a
+// lost tick shows as an error instead of a hang.
 func BenchmarkTickWheel(b *testing.B) {
 	for _, n := range []int{256, 2048} {
 		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
@@ -145,8 +150,12 @@ func BenchmarkTickWheel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				want := ticks.Value() + int64(n)
 				srv.AdvanceWheel(clock.Advance(4 * time.Second))
+				deadline := time.Now().Add(tickWheelWait)
 				for ticks.Value() < want {
-					// Yield rather than sleep: the batches are already on
+					if time.Now().After(deadline) {
+						b.Fatalf("round %d: %d of %d paced ticks after %v", i, ticks.Value()-want+int64(n), n, tickWheelWait)
+					}
+					// Yield rather than sleep: the sweeps are already on
 					// the workers and land in microseconds, but a bare spin
 					// would starve them of this core until preemption.
 					runtime.Gosched()

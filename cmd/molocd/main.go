@@ -47,9 +47,10 @@
 // leader acknowledged lost.
 //
 // -paced flips every session to server pacing: instead of clients
-// POSTing /tick, the server's timer wheel ticks each session at its
-// tracker interval, batching the sessions due in a slot per worker
-// (one motion-index snapshot load per batch). Paced fixes are pushed
+// POSTing /tick, the server ticks each session at its tracker
+// interval: every -wheel-slot period each worker sweeps its paced
+// sessions and ticks the due ones off one motion-index snapshot load.
+// Paced fixes are pushed
 // over the stream listener as unsolicited Fix frames; HTTP-only clients
 // poll GET /v1/sessions/{id}. Individual sessions opt in with
 // {"paced":true} at create regardless of the flag. -shards sets the
@@ -104,8 +105,8 @@ func run() error {
 		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "live session cap (429 beyond)")
 		workers     = flag.Int("workers", 0, "data-plane worker pool size (0 = GOMAXPROCS)")
 		shards      = flag.Int("shards", 0, "session-registry lock stripes (0 = workers)")
-		paced       = flag.Bool("paced", false, "server-pace every session: tick on the server's wheel instead of client tick requests")
-		wheelSlot   = flag.Duration("wheel-slot", server.DefaultWheelSlotDur, "tick-wheel slot width; finer slots cut per-fire batch size (and fix-latency tails) at more wheel wakeups")
+		paced       = flag.Bool("paced", false, "server-pace every session: the server ticks it instead of client tick requests")
+		wheelSlot   = flag.Duration("wheel-slot", server.DefaultWheelSlotDur, "period of the server-paced sweeps; shorter periods tick sessions sooner after their intervals end, at more sweeps")
 		gate        = flag.Bool("gate", false, "reachability-gate steady-state candidate scans (per-fix cost bounded by motion-DB adjacency, not map size)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		retrain     = flag.Duration("retrain", server.DefaultRetrainInterval, "online-retrain period for queued observations")

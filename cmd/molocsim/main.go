@@ -19,7 +19,7 @@
 // sessions ({"paced":true}) against a running molocd's HTTP API, feeds
 // them WiFi scans from -feeders concurrent connections for -load-for,
 // and reports fixes/sec plus p50/p99 fix latency from the server's
-// paced_fix_seconds histogram (slot fire → fix produced), alongside the
+// paced_fix_seconds histogram (sweep start → fix produced), alongside the
 // paced-tick : snapshot-load amortization ratio. The target must be
 // built from the same plan and seed and run with -paced-capable limits:
 //
@@ -245,9 +245,9 @@ type metricsSnap struct {
 // (Scalability/sessions_N): create n server-paced sessions over the
 // HTTP API, feed them WiFi scans sampled from the deployment's own
 // radio model, and report fix throughput and latency percentiles from
-// the server's metrics deltas. The sessions all sit on molocd's tick
-// wheel for the whole window — the wheel's due-scan cost covers every
-// one of them, while fixes flow for the sessions receiving scans.
+// the server's metrics deltas. The sessions all sit on molocd's paced
+// lists for the whole window — every sweep scans all of them, while
+// fixes flow for the sessions receiving scans.
 func sessionLoad(sys *core.System, api string, n, feeders int, dur time.Duration) error {
 	if n < 1 || feeders < 1 {
 		return fmt.Errorf("sessions (%d) and feeders (%d) must be >= 1", n, feeders)
@@ -313,8 +313,8 @@ func sessionLoad(sys *core.System, api string, n, feeders int, dur time.Duration
 	// Phase 2: feed scans for the measurement window. Each feeder owns
 	// a disjoint slice of sessions and cycles it, advancing every
 	// session's clock one localization interval per scan — so every
-	// scan closes one interval, which the server's wheel turns into one
-	// fix at the next due slot.
+	// scan closes one interval, which the server's paced sweep turns
+	// into one fix at the session's next deadline.
 	reg := obs.NewRegistry()
 	reqHist := reg.Histogram("scan_request_seconds", obs.LatencyBuckets)
 	var scansSent atomic.Int64
@@ -367,7 +367,7 @@ func sessionLoad(sys *core.System, api string, n, feeders int, dur time.Duration
 		return err
 	default:
 	}
-	// Let the wheel drain the last intervals before the closing scrape.
+	// Let the sweeps drain the last intervals before the closing scrape.
 	time.Sleep(1500 * time.Millisecond)
 	after, err := scrapeMetrics(client, base)
 	if err != nil {
@@ -383,16 +383,16 @@ func sessionLoad(sys *core.System, api string, n, feeders int, dur time.Duration
 	reqSnap := reg.Snapshot().Histograms["scan_request_seconds"]
 
 	label := fmt.Sprintf("Scalability/sessions_%s", countLabel(n))
-	fmt.Printf("%s: %d live sessions on the wheel (paced_scheduled=%d)\n",
+	fmt.Printf("%s: %d live paced sessions (paced_scheduled=%d)\n",
 		label, after.Sessions, after.Gauges["paced_scheduled"])
 	fmt.Printf("%s: %.0f scans/s in, %.0f fixes/s out over %v (%d fixes, %d paced ticks, shed=%d)\n",
 		label, float64(scansSent.Load())/dur.Seconds(), float64(fixes)/dur.Seconds(),
 		dur, fixes, ticks, shed)
 	if loads > 0 {
-		fmt.Printf("%s: snapshot loads amortized %.1fx (%d ticks / %d batch loads)\n",
+		fmt.Printf("%s: snapshot loads amortized %.1fx (%d ticks / %d sweep loads)\n",
 			label, float64(ticks)/float64(loads), ticks, loads)
 	}
-	fmt.Printf("%s: fix latency p50=%.2fms p99=%.2fms (slot fire -> fix, server-side)\n",
+	fmt.Printf("%s: fix latency p50=%.2fms p99=%.2fms (sweep start -> fix, server-side)\n",
 		label, fixHist.Quantile(0.5)*1e3, fixHist.Quantile(0.99)*1e3)
 	fmt.Printf("%s: scan request p50=%.2fms p99=%.2fms (client-side HTTP)\n",
 		label, reqSnap.Quantile(0.5)*1e3, reqSnap.Quantile(0.99)*1e3)

@@ -51,17 +51,12 @@ const (
 	// connection is advertised (stream.go): at most this many
 	// unacknowledged frames may be in flight per stream.
 	DefaultStreamWindow = 32
-	// DefaultWheelSlotDur is the tick wheel's slot width (wheel.go):
-	// server-paced sessions are checked for due intervals at this
-	// granularity. Coarser than any sane tracker interval (3 s in the
-	// paper), so a slot batches many sessions; fine enough that pacing
+	// DefaultWheelSlotDur is the period of the server-paced sweeps
+	// (wheel.go): paced sessions are checked for due intervals at this
+	// granularity. Finer than any sane tracker interval (3 s in the
+	// paper), so one sweep ticks many sessions; fine enough that pacing
 	// adds at most a quarter second to a fix's age.
 	DefaultWheelSlotDur = 250 * time.Millisecond
-	// DefaultWheelSlots is the wheel's slot count; slots x slot duration
-	// is the horizon within which a deadline lands in its exact slot
-	// (16 s by default — beyond it entries are re-examined per rotation,
-	// the standard hashed-wheel overflow behavior).
-	DefaultWheelSlots = 64
 	// DefaultReplLagMax is how far a follower may trail its leader —
 	// measured as time since it last covered the leader's published tail
 	// — before the degradation ladder enters follower-stale
@@ -100,15 +95,12 @@ type Options struct {
 	// Values other than Workers still serialize correctly (the pool is
 	// the ownership authority); they only change lock granularity.
 	Shards int
-	// PaceAll forces every session onto the server-paced tick wheel
-	// (molocd -paced), as if each create had sent "paced":true.
+	// PaceAll forces every session onto server-paced ticking (molocd
+	// -paced), as if each create had sent "paced":true.
 	PaceAll bool
-	// WheelSlotDur is the paced tick wheel's slot width; zero selects
-	// DefaultWheelSlotDur.
+	// WheelSlotDur is the period of the server-paced sweeps; zero
+	// selects DefaultWheelSlotDur.
 	WheelSlotDur time.Duration
-	// WheelSlots is the wheel's slot count; zero selects
-	// DefaultWheelSlots.
-	WheelSlots int
 	// Gate enables reachability gating in every session's localizer
 	// (localizer.Config.Gate): steady-state candidate scans are
 	// restricted to the locations one motion-DB hop from the previous
@@ -202,15 +194,6 @@ func (o Options) withDefaults() Options {
 	if o.WheelSlotDur <= 0 {
 		o.WheelSlotDur = DefaultWheelSlotDur
 	}
-	if o.WheelSlots < 1 {
-		o.WheelSlots = DefaultWheelSlots
-		// Finer slots with the default count would shrink the wheel's
-		// horizon below tracker intervals; keep the default horizon so a
-		// rescheduled entry still lands inside the rotation.
-		if o.WheelSlotDur < DefaultWheelSlotDur {
-			o.WheelSlots = int(time.Duration(DefaultWheelSlots) * DefaultWheelSlotDur / o.WheelSlotDur)
-		}
-	}
 	if o.RetrainInterval <= 0 {
 		o.RetrainInterval = DefaultRetrainInterval
 	}
@@ -243,7 +226,7 @@ func (o Options) withDefaults() Options {
 type session struct {
 	id      string
 	created time.Time
-	// paced marks a session ticked by the server's wheel (wheel.go)
+	// paced marks a session ticked by the server's sweeps (wheel.go)
 	// rather than by client tick requests. Set before the session is
 	// published in the registry, never changed after.
 	paced bool
@@ -278,13 +261,13 @@ func (ss *session) withTracker(now time.Time, fn func(tk *tracker.Tracker)) bool
 	return true
 }
 
-// withTrackerPaced is withTracker for the server-driven tick wheel: it
+// withTrackerPaced is withTracker for the server-paced sweeps: it
 // runs fn under the session lock but does NOT record data-plane
 // activity — server pacing must not keep an abandoned session alive
 // past its idle TTL; only client uploads do that. It also hands back
 // the bound stream pusher (nil when no stream is attached), read under
-// the same lock so the wheel never races a connection teardown. alive
-// is false for an evicted session, which tells the wheel to drop the
+// the same lock so a sweep never races a connection teardown. alive
+// is false for an evicted session, which tells the sweep to drop the
 // entry instead of rescheduling it.
 func (ss *session) withTrackerPaced(fn func(tk *tracker.Tracker)) (push *streamConn, alive bool) {
 	ss.mu.Lock()
@@ -358,7 +341,7 @@ func (ss *session) close() {
 }
 
 // Start launches the background loops: the expiry sweeper, the online
-// retrainer (retrain.go), and the paced tick wheel driver (wheel.go).
+// retrainer (retrain.go), and the paced sweep loop (wheel.go).
 // It is idempotent; Close stops all three. Servers embedded in tests
 // may skip Start and drive sweepOnce, RetrainNow, or AdvanceWheel
 // directly.

@@ -70,9 +70,9 @@ type serverMetrics struct {
 	replSnapshots  *obs.Counter
 	promotions     *obs.Counter
 
-	// Server-paced tick-wheel metrics (wheel.go). pacedTicks versus
+	// Server-paced metrics (wheel.go). pacedTicks versus
 	// pacedSnapshotLoads is the batching ratio: how many session ticks
-	// each (worker, slot) snapshot load amortized over.
+	// each per-worker sweep's snapshot load amortized over.
 	pacedSessions      *obs.Counter
 	pacedTicks         *obs.Counter
 	pacedSnapshotLoads *obs.Counter

@@ -19,9 +19,9 @@ import (
 	"moloc/internal/wire"
 )
 
-// waitUntil polls cond for up to three seconds — paced batches run
+// waitUntil polls cond for up to three seconds — paced sweeps run
 // asynchronously on pool workers, so assertions after AdvanceWheel need
-// to wait for the dispatched batches to land.
+// to wait for the queued sweeps to land.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -294,11 +294,17 @@ func TestPacedServerEquivalence(t *testing.T) {
 		// whole-trace ticks.
 		t.Errorf("tick_seconds count = %d, want %d", got, want)
 	}
+	// paced_fix_seconds is measured on the server's clock, which the
+	// fake clock holds still during a sweep: every sample is ~0, not the
+	// distance between the fake and the real epoch.
+	if got, sum := srv.met.pacedFixSeconds.Count(), srv.met.pacedFixSeconds.Sum(); got != int64(n) || sum >= 1 {
+		t.Errorf("paced_fix_seconds: %d samples summing to %g s, want %d summing under 1 s", got, sum, n)
+	}
 }
 
 // TestPacedBatchAmortizesSnapshotLoads pins the whole point of the
-// (worker, slot) batching: K paced sessions due in the same slot cost
-// one RCU snapshot load per worker batch, not one per session, and each
+// per-worker sweep: K paced sessions due at one advance cost one RCU
+// snapshot load per worker sweep, not one per session, and each
 // session's tracker adopts the shared view exactly once.
 func TestPacedBatchAmortizesSnapshotLoads(t *testing.T) {
 	sys := buildSys(t)
@@ -342,9 +348,8 @@ func TestPacedBatchAmortizesSnapshotLoads(t *testing.T) {
 	if ticks != K {
 		t.Fatalf("paced_ticks = %d, want %d", ticks, K)
 	}
-	// All K sessions were created at the same instant with the same
-	// interval, so they share a due slot: at most one batch (and one
-	// snapshot load) per worker.
+	// One advance queues at most one sweep (and one snapshot load) per
+	// worker.
 	if loads > 3 {
 		t.Errorf("paced_snapshot_loads = %d for %d ticks across 3 workers; batching failed", loads, ticks)
 	}
@@ -353,9 +358,9 @@ func TestPacedBatchAmortizesSnapshotLoads(t *testing.T) {
 		t.Errorf("SnapshotSwaps = %d with an unchanged view, want 0", swaps)
 	}
 
-	// Publish a fresh compiled view, as a retrain would, and fire the
-	// wheel again: every tracker in a batch adopts the one shared view
-	// (one swap each), still off one snapshot load per worker batch.
+	// Publish a fresh compiled view, as a retrain would, and advance
+	// again: every tracker in a sweep adopts the one shared view (one
+	// swap each), still off one snapshot load per worker sweep.
 	// Compiling from the retrainer's clone sidesteps the serving DB's
 	// per-parameter memoization, which would hand back the same pointer.
 	srv.retrain.mu.Lock()
@@ -601,8 +606,8 @@ func TestServerShardStress(t *testing.T) {
 	if created != int64(n) || del+exp != int64(n) {
 		t.Fatalf("conservation violated: created=%d deleted=%d expired=%d (n=%d)", created, del, exp, n)
 	}
-	// Every paced entry is retired within two more fires (one may have
-	// been shed back onto the wheel mid-shutdown of its worker batch).
+	// Every paced entry is retired within two more advances (a sweep
+	// may have been shed by a worker still busy with phase 2's work).
 	for i := 0; i < 10 && srv.wheel.scheduled() > 0; i++ {
 		clock.Advance(4 * time.Second)
 		srv.AdvanceWheel(clock.Now())

@@ -96,10 +96,10 @@ func (p *workerPool) run(key string, fn func()) bool {
 
 // tryRunShard enqueues fn on worker w without waiting for it to run,
 // reporting false — without enqueueing — when that worker's queue is
-// full or the pool is closed. It is the tick wheel's dispatch: the
-// wheel must never block behind a busy worker (that would stall every
-// other worker's slot), so an overloaded worker sheds the batch and the
-// wheel retries the sessions next slot. fn itself must not block on
+// full or the pool is closed. It queues the paced sweeps (wheel.go):
+// an advance must never block behind a busy worker (that would stall
+// every other worker's sweep), so an overloaded worker sheds its sweep
+// and the next advance ticks the sessions. fn itself must not block on
 // pool work for the same worker (it runs on it).
 func (p *workerPool) tryRunShard(w int, fn func()) bool {
 	p.mu.Lock()

@@ -106,12 +106,9 @@ type Server struct {
 	reg *sessionRegistry
 
 	// wheel drives server-paced sessions (wheel.go): sessions created
-	// with "paced":true are ticked by the server on coarse timer slots,
-	// batched per worker, instead of per-client tick requests.
-	wheel *tickWheel
-	// paceScratch[w] is worker w's reused paced-tick buffers; each is
-	// touched only by tasks the pool serializes onto worker w.
-	paceScratch []pacedScratch
+	// with "paced":true sit on their worker's list and are ticked by
+	// periodic per-worker sweeps instead of per-client tick requests.
+	wheel tickWheel
 }
 
 // New builds a server over a candidate source (numAPs wide), a motion
@@ -161,9 +158,7 @@ func NewWithOptions(plan *floorplan.Plan, src fingerprint.CandidateSource, numAP
 		done:    make(chan struct{}),
 		reg:     newSessionRegistry(o.Shards),
 	}
-	s.wheel = newTickWheel(o.WheelSlots, o.WheelSlotDur, len(s.pool.queues))
-	s.wheel.prime(o.Now())
-	s.paceScratch = make([]pacedScratch, len(s.pool.queues))
+	s.wheel = make(tickWheel, len(s.pool.queues))
 	s.stream.init()
 	s.snap.Store(cmp)
 	s.registerPoolGauges()
@@ -199,8 +194,8 @@ func (s *Server) CompiledSnapshot() *motiondb.Compiled { return s.snap.Load() }
 // call serveClient, and encode its fixes or its clientError. Validation,
 // worker dispatch, the degradation-ladder sample, and the per-fix
 // metrics therefore happen in exactly one place, so the transports
-// cannot drift apart. The tick wheel (wheel.go) keeps its own batched
-// dispatch and shares only countFixes.
+// cannot drift apart. Server pacing (wheel.go) keeps its own per-worker
+// sweep and shares only countFixes.
 
 // clientReq is one client-paced request in transport-neutral form: IMU
 // samples and scans to feed the session's tracker, in that order, then
@@ -417,7 +412,7 @@ type createReq struct {
 	WeightKg    float64 `json:"weight_kg"`
 	IntervalSec float64 `json:"interval_sec,omitempty"`
 	// Paced opts the session into server-driven ticking (wheel.go): the
-	// server closes elapsed intervals itself on a coarse timer wheel, so
+	// server closes elapsed intervals itself in periodic sweeps, so
 	// the client only uploads data and either polls GET for the last fix
 	// or receives pushed Fix frames on its bound stream. molocd -paced
 	// forces it for every session.
@@ -582,9 +577,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown session "+id)
 		return
 	}
-	// Marking the session evicted also drops it off the tick wheel: a
-	// paced entry whose session is evicted is discarded at its next due
-	// slot instead of rescheduled.
+	// Marking the session evicted also drops it off its worker's paced
+	// list: an entry whose session is evicted is discarded at its next
+	// deadline instead of rescheduled.
 	ss.close()
 	s.met.sessionsDeleted.Inc()
 	w.WriteHeader(http.StatusNoContent)

@@ -35,7 +35,7 @@ import (
 
 // streamConn serializes all writes on one stream connection. Two
 // parties write to a bound connection — the connection's own frame loop
-// (acks, tick replies, errors) and the tick wheel's fix pusher running
+// (acks, tick replies, errors) and the paced sweep's fix pusher running
 // on a pool worker (wheel.go) — and wire.Writer is not goroutine-safe,
 // so every write goes through this wrapper and flushes under its lock
 // (a frame never sits half-buffered where another writer could

@@ -1,129 +1,127 @@
 package server
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
 
-func TestWheelSlotIndex(t *testing.T) {
-	w := newTickWheel(8, time.Second, 1)
-	for _, sn := range []int64{-17, -1, 0, 7, 8, 63} {
-		i := w.slotIndex(sn)
-		if i < 0 || i >= 8 {
-			t.Errorf("slotIndex(%d) = %d, out of [0,8)", sn, i)
-		}
-	}
-	if w.slotIndex(9) != w.slotIndex(1) {
-		t.Error("slot numbers one rotation apart must share a bucket")
-	}
-	// Fake clocks before the epoch produce negative slot numbers; the
-	// index must still be a valid bucket, not a panic or -1.
-	if got := w.slotIndex(-1); got != 7 {
-		t.Errorf("slotIndex(-1) = %d, want 7", got)
-	}
-}
-
-func TestWheelCollectDuePartition(t *testing.T) {
-	w := newTickWheel(8, time.Second, 1)
-	base := time.Unix(1000, 0)
-	early := &pacedEntry{due: base.Add(1 * time.Second)}
-	late := &pacedEntry{due: base.Add(9 * time.Second)} // same bucket, next rotation
-	if w.slotIndex(early.due.UnixNano()/int64(time.Second)) !=
-		w.slotIndex(late.due.UnixNano()/int64(time.Second)) {
-		t.Fatal("test geometry broken: entries must share a bucket")
-	}
-	w.schedule(early)
-	w.schedule(late)
-	idx := w.slotIndex(early.due.UnixNano() / int64(time.Second))
-
-	// At base+2s only the early entry is due; the overflow entry stays
-	// for a later rotation. This is the hashed wheel's horizon rule:
-	// slot position says when to look, the due check says when to fire.
-	due := w.collectDue(idx, base.Add(2*time.Second), nil)
-	if len(due) != 1 || due[0] != early {
-		t.Fatalf("collectDue at +2s = %v entries, want just the early one", len(due))
-	}
-	if len(w.slots[idx].entries) != 1 || w.slots[idx].entries[0] != late {
-		t.Fatal("overflow entry evicted from its slot before its deadline")
-	}
-	// The compacted tail must not retain collected entries.
-	if tail := w.slots[idx].entries[:2][1]; tail != nil {
-		t.Error("collected entry still referenced by the slot's backing array")
-	}
-	due = w.collectDue(idx, base.Add(10*time.Second), due[:0])
-	if len(due) != 1 || due[0] != late {
-		t.Fatal("overflow entry did not fire once its rotation arrived")
-	}
-}
-
-func TestWheelElapsedRange(t *testing.T) {
-	w := newTickWheel(8, time.Second, 1)
-	base := time.Unix(2000, 0)
-
-	from, to, ok := w.elapsedRange(base)
-	if !ok || from != to || from != base.Unix() {
-		t.Fatalf("first elapsedRange = (%d, %d, %v), want exactly the current slot", from, to, ok)
-	}
-	if _, _, ok := w.elapsedRange(base); ok {
-		t.Fatal("same instant claimed twice")
-	}
-	if _, _, ok := w.elapsedRange(base.Add(-5 * time.Second)); ok {
-		t.Fatal("time going backwards claimed a slot range")
-	}
-	from, to, ok = w.elapsedRange(base.Add(3 * time.Second))
-	if !ok || from != base.Unix()+1 || to != base.Unix()+3 {
-		t.Fatalf("range after +3s = (%d, %d, %v)", from, to, ok)
-	}
-	// A long stall claims at most one full rotation: older slots would
-	// be rescans of buckets the due check already clears on first visit.
-	from, to, ok = w.elapsedRange(base.Add(100 * time.Second))
-	if !ok || to-from != 7 || to != base.Unix()+100 {
-		t.Fatalf("post-stall range = (%d, %d, %v), want one rotation ending now", from, to, ok)
-	}
-}
-
 func TestWheelAddTracksSize(t *testing.T) {
-	w := newTickWheel(8, time.Second, 2)
+	w := make(tickWheel, 2)
 	now := time.Unix(3000, 0)
 	w.add(nil, 3*time.Second, 0, now)
-	w.add(nil, 0, 1, now) // non-positive interval coerced to a slot
+	w.add(nil, 3*time.Second, 1, now)
 	if got := w.scheduled(); got != 2 {
 		t.Fatalf("scheduled = %d, want 2", got)
 	}
-	w.drop()
-	if got := w.scheduled(); got != 1 {
-		t.Fatalf("scheduled = %d after drop, want 1", got)
+	if len(w[0].pending) != 1 || len(w[0].entries) != 0 {
+		t.Fatal("a new entry must wait in pending until its worker's sweep adopts it")
+	}
+	// Adoption moves the entry onto the worker-owned list; the count of
+	// scheduled entries is unchanged.
+	w[0].adopt()
+	if len(w[0].pending) != 0 || len(w[0].entries) != 1 {
+		t.Fatalf("after adopt: %d pending, %d entries; want 0, 1", len(w[0].pending), len(w[0].entries))
+	}
+	if w[0].entries[0].due != now.Add(3*time.Second) {
+		t.Errorf("first deadline = %v, want one interval after creation", w[0].entries[0].due)
+	}
+	if got := w.scheduled(); got != 2 {
+		t.Fatalf("scheduled = %d after adopt, want 2", got)
 	}
 }
 
-// BenchmarkTickWheelRaw measures the wheel's own bookkeeping (schedule
-// + collect, no sessions, no workers): the fixed cost the wheel adds
-// per paced session per fire.
-func BenchmarkTickWheelRaw(b *testing.B) {
-	w := newTickWheel(64, 250*time.Millisecond, 4)
-	base := time.Unix(5000, 0)
-	const n = 1024
-	for i := 0; i < n; i++ {
-		w.add(nil, 3*time.Second, i%4, base)
+// createPacedSession creates a paced session with the default interval.
+func createPacedSession(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, body := postJSON(t, ts, "/v1/sessions", createReq{HeightM: 1.71, WeightKg: 68, Paced: true})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create paced: %d %s", resp.StatusCode, body)
 	}
-	var due []*pacedEntry
-	now := base
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = now.Add(250 * time.Millisecond)
-		from, to, ok := w.elapsedRange(now)
-		if !ok {
-			continue
-		}
-		for sn := from; sn <= to; sn++ {
-			due = w.collectDue(w.slotIndex(sn), now, due[:0])
-			for _, e := range due {
-				e.due = e.due.Add(e.interval)
-				if !e.due.After(now) {
-					e.due = now.Add(e.interval)
-				}
-				w.schedule(e)
-			}
-		}
+	var cr createResp
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	return cr.SessionID
+}
+
+// TestPacedTickLateInSlot pins that a paced session is ticked by the
+// first advance after its deadline, even when an earlier advance in the
+// same 250 ms period ran before the deadline: pacing that marks a
+// period done on its first visit would miss this tick.
+func TestPacedTickLateInSlot(t *testing.T) {
+	sys := buildSys(t)
+	clock := newFakeClock() // starts on a 250 ms boundary
+	srv := durableServer(t, sys, Options{Now: clock.Now})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Created 100 ms into a period, so the 3 s deadline falls 100 ms
+	// into a later one.
+	clock.Advance(100 * time.Millisecond)
+	createPacedSession(t, ts)
+	clock.Advance(3*time.Second - 50*time.Millisecond) // 50 ms before the deadline
+	srv.AdvanceWheel(clock.Now())
+	clock.Advance(150 * time.Millisecond) // 100 ms after it, same period
+	srv.AdvanceWheel(clock.Now())
+	waitUntil(t, "the late-in-slot paced tick", func() bool { return srv.met.pacedTicks.Value() >= 1 })
+	if got := srv.met.pacedTicks.Value(); got != 1 {
+		t.Fatalf("paced_ticks = %d, want 1", got)
+	}
+}
+
+// TestPacedShedKeepsSessions pins the shed path: a sweep offered to a
+// worker whose queue is full is counted in pool_shed_total and dropped,
+// and its sessions stay scheduled and due, so the next advance after
+// the worker frees up ticks every one of them.
+func TestPacedShedKeepsSessions(t *testing.T) {
+	sys := buildSys(t)
+	clock := newFakeClock()
+	srv := durableServer(t, sys, Options{Workers: 1, Now: clock.Now})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const K = 8
+	for i := 0; i < K; i++ {
+		createPacedSession(t, ts)
+	}
+
+	// Block the only worker, then fill its queue behind the blocker.
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	if !srv.pool.tryRunShard(0, func() { close(started); <-release }) {
+		t.Fatal("could not queue the blocking task")
+	}
+	<-started
+	for srv.pool.tryRunShard(0, func() {}) {
+	}
+
+	shed0 := srv.met.poolShed.Value()
+	clock.Advance(4 * time.Second)
+	if n := srv.AdvanceWheel(clock.Now()); n != 0 {
+		t.Fatalf("AdvanceWheel queued %d sweeps on a full worker", n)
+	}
+	if got := srv.met.poolShed.Value(); got != shed0+1 {
+		t.Fatalf("pool_shed_total = %d, want %d", got, shed0+1)
+	}
+
+	unblock()
+	waitUntil(t, "the worker queue to drain", func() bool { return srv.pool.queueDepth(0) == 0 })
+	if n := srv.AdvanceWheel(clock.Now()); n != 1 {
+		t.Fatalf("AdvanceWheel queued %d sweeps after the worker freed up, want 1", n)
+	}
+	waitUntil(t, "every due session to tick", func() bool { return srv.met.pacedTicks.Value() >= K })
+	if got := srv.met.pacedTicks.Value(); got != K {
+		t.Errorf("paced_ticks = %d, want %d", got, K)
+	}
+	if got := srv.wheel.scheduled(); got != K {
+		t.Errorf("paced_scheduled = %d after a shed sweep, want %d", got, K)
 	}
 }

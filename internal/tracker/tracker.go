@@ -246,11 +246,11 @@ func (t *Tracker) acquireSnapshot() {
 
 // adoptCompiled swaps the localizer onto c when it is a new view. It is
 // the snapshot-free half of acquireSnapshot: the server-paced path
-// loads the RCU pointer once per (worker, slot) batch and hands every
-// tracker in the batch the same view through TickBatchShared, so N
-// paced sessions cost one atomic load instead of N. SnapshotSwaps still
+// loads the RCU pointer once per worker sweep and hands every tracker
+// in the sweep the same view through TickBatchShared, so N paced
+// sessions cost one atomic load instead of N. SnapshotSwaps still
 // counts per-tracker adoptions, so the amortization is observable: with
-// pacing on, swaps lag far behind batch counts.
+// pacing on, swaps lag far behind sweep counts.
 func (t *Tracker) adoptCompiled(c *motiondb.Compiled) {
 	if c == nil || c == t.curCmp {
 		return
@@ -357,9 +357,9 @@ func (t *Tracker) TickBatch(now float64, dst []Fix) []Fix {
 
 // TickBatchShared is TickBatch with the motion-index view supplied by
 // the caller instead of loaded from the RCU snapshot: the server-paced
-// tick wheel loads the snapshot once per (worker, slot) batch and runs
-// every due tracker against that one view, so a slot of N sessions
-// costs one atomic load, not N. Passing the current snapshot value
+// sweep loads the snapshot once per worker and runs every due tracker
+// against that one view, so a sweep over N due sessions costs one
+// atomic load, not N. Passing the current snapshot value
 // yields exactly TickBatch's behavior — the shared view goes through
 // the same adoption (and validation) path — so paced and client-paced
 // sessions produce identical fixes for identical event sequences.
