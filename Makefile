@@ -43,7 +43,7 @@ smoke:
 # three-process leader/follower/promote failover leg.
 chaos:
 	$(GO) test -race -count=3 ./internal/fault/ ./internal/wal/ ./internal/checkpoint/ ./internal/replica/
-	$(GO) test -race -count=3 -run 'TestCrashRecovery|TestTornTail|TestCleanShutdown|TestCorruptCheckpoint|TestWAL|TestClosePrompt|TestInstrument|TestRunSharded|TestFingerprintOnly|TestRepl' \
+	$(GO) test -race -count=3 -run 'TestCrashRecovery|TestTornTail|TestCleanShutdown|TestCorruptCheckpoint|TestWAL|TestClosePrompt|TestInstrument|TestRunSharded|TestServerShed|TestFingerprintOnly|TestRepl' \
 		./internal/server/ ./internal/tracker/
 	$(MAKE) smoke
 

@@ -20,7 +20,9 @@
 // them WiFi scans from -feeders concurrent connections for -load-for,
 // and reports fixes/sec plus p50/p99 fix latency from the server's
 // paced_fix_seconds histogram (sweep start → fix produced), alongside the
-// paced-tick : snapshot-load amortization ratio. The target must be
+// paced-tick : snapshot-load amortization ratio. A scan the server sheds
+// (503 + Retry-After, its worker queue full) is counted as client_shed
+// and resent on the feeder's next round; any other non-202 is fatal. The target must be
 // built from the same plan and seed and run with -paced-capable limits:
 //
 //	molocd -max-sessions 120000 &
@@ -317,7 +319,7 @@ func sessionLoad(sys *core.System, api string, n, feeders int, dur time.Duration
 	// into one fix at the session's next deadline.
 	reg := obs.NewRegistry()
 	reqHist := reg.Histogram("scan_request_seconds", obs.LatencyBuckets)
-	var scansSent atomic.Int64
+	var scansSent, clientShed atomic.Int64
 	deadline := time.Now().Add(dur)
 	for f := 0; f < feeders; f++ {
 		lo, hi := n*f/feeders, n*(f+1)/feeders
@@ -351,6 +353,15 @@ func sessionLoad(sys *core.System, api string, n, feeders int, dur time.Duration
 				_, _ = io.Copy(io.Discard, resp.Body)
 				//lint:ignore errdrop a close error on a drained body adds nothing to the status check below
 				_ = resp.Body.Close()
+				if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "" {
+					// The session's worker queue was full: the scan was
+					// shed (only a shed 503 carries Retry-After; shutting
+					// down or a degraded server stays fatal). Keep the
+					// session's clock, so the next round resends the same
+					// interval.
+					clientShed.Add(1)
+					continue
+				}
 				if resp.StatusCode != http.StatusAccepted {
 					errs <- fmt.Errorf("feeder %d: scan on %s: HTTP %d", f, ids[i], resp.StatusCode)
 					return
@@ -385,9 +396,9 @@ func sessionLoad(sys *core.System, api string, n, feeders int, dur time.Duration
 	label := fmt.Sprintf("Scalability/sessions_%s", countLabel(n))
 	fmt.Printf("%s: %d live paced sessions (paced_scheduled=%d)\n",
 		label, after.Sessions, after.Gauges["paced_scheduled"])
-	fmt.Printf("%s: %.0f scans/s in, %.0f fixes/s out over %v (%d fixes, %d paced ticks, shed=%d)\n",
+	fmt.Printf("%s: %.0f scans/s in, %.0f fixes/s out over %v (%d fixes, %d paced ticks, shed=%d, client_shed=%d)\n",
 		label, float64(scansSent.Load())/dur.Seconds(), float64(fixes)/dur.Seconds(),
-		dur, fixes, ticks, shed)
+		dur, fixes, ticks, shed, clientShed.Load())
 	if loads > 0 {
 		fmt.Printf("%s: snapshot loads amortized %.1fx (%d ticks / %d sweep loads)\n",
 			label, float64(ticks)/float64(loads), ticks, loads)

@@ -78,8 +78,13 @@ type serverMetrics struct {
 	pacedSnapshotLoads *obs.Counter
 	pacedPushes        *obs.Counter
 	pacedPushErrors    *obs.Counter
-	poolShed           *obs.Counter
 	pacedFixSeconds    *obs.Histogram
+
+	// Worker-pool sheds (pool.go): the total, and its split by transport.
+	poolShed   *obs.Counter
+	shedHTTP   *obs.Counter
+	shedStream *obs.Counter
+	shedPaced  *obs.Counter
 }
 
 func newServerMetrics() *serverMetrics {
@@ -132,9 +137,20 @@ func newServerMetrics() *serverMetrics {
 		pacedSnapshotLoads: reg.Counter("paced_snapshot_loads"),
 		pacedPushes:        reg.Counter("paced_fixes_pushed"),
 		pacedPushErrors:    reg.Counter("paced_push_errors"),
-		poolShed:           reg.Counter("pool_shed_total"),
 		pacedFixSeconds:    reg.Histogram("paced_fix_seconds", obs.LatencyBuckets),
+
+		poolShed:   reg.Counter("pool_shed_total"),
+		shedHTTP:   reg.Counter("pool_shed{transport=http}"),
+		shedStream: reg.Counter("pool_shed{transport=stream}"),
+		shedPaced:  reg.Counter("pool_shed{transport=paced}"),
 	}
+}
+
+// countShed records one shed dispatch against its transport's counter
+// and pool_shed_total.
+func (s *Server) countShed(byTransport *obs.Counter) {
+	byTransport.Inc()
+	s.met.poolShed.Inc()
 }
 
 // allocSamples recycles the runtime/metrics sample buffers used to

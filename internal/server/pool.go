@@ -4,41 +4,35 @@
 // the same worker, so per-session work stays serialized (in arrival
 // order) without contending for locks, while distinct sessions tick in
 // parallel across the pool — bounded CPU fan-out no matter how many
-// phones poll at once.
+// phones poll at once. submit is the only way in and never blocks: a
+// full queue sheds the task (errShed), so an admitted task waits behind
+// at most workerQueueDepth others.
 package server
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 )
 
-// workerQueueDepth bounds each worker's backlog; a full queue applies
-// backpressure by blocking the submitting handler (which in turn holds
-// the HTTP connection, the natural place for the slowdown to surface).
+// workerQueueDepth bounds each worker's backlog, and with it the wait
+// of every admitted task: a submit that finds the queue full is shed.
 const workerQueueDepth = 64
 
-// poolTask is one unit of sharded work. done is nil for detached tasks
-// (tryRunShard): nobody waits on those, so there is no channel to
-// signal.
-type poolTask struct {
-	fn   func()
-	done chan struct{}
-}
-
-// doneChans recycles the per-request completion channels so submitting
-// work allocates nothing at steady state.
-var doneChans = sync.Pool{
-	New: func() interface{} { return make(chan struct{}, 1) },
-}
+// errShed refuses a task because its worker's queue is full;
+// errPoolClosed, because the pool is closed.
+var (
+	errShed       = errors.New("server busy: worker queue full (shed), retry later")
+	errPoolClosed = errors.New("worker pool closed")
+)
 
 // workerPool runs tasks on a fixed set of goroutines, sharded by key.
 type workerPool struct {
-	queues []chan poolTask
+	queues []chan func()
 	wg     sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool
-	inflight sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
 }
 
 // newWorkerPool starts n workers (n < 1 selects GOMAXPROCS).
@@ -46,18 +40,15 @@ func newWorkerPool(n int) *workerPool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &workerPool{queues: make([]chan poolTask, n)}
+	p := &workerPool{queues: make([]chan func(), n)}
 	for i := range p.queues {
-		q := make(chan poolTask, workerQueueDepth)
+		q := make(chan func(), workerQueueDepth)
 		p.queues[i] = q
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			for t := range q {
-				t.fn()
-				if t.done != nil {
-					t.done <- struct{}{}
-				}
+			for fn := range q {
+				fn()
 			}
 		}()
 	}
@@ -75,50 +66,21 @@ func shardOf(key string, n int) int {
 	return int(h % uint32(n))
 }
 
-// run executes fn on the worker owning key and waits for it to finish.
-// It reports false — without running fn — when the pool is closed.
-func (p *workerPool) run(key string, fn func()) bool {
-	p.mu.Lock()
+// submit queues fn on worker w without waiting for it to run. It
+// returns errShed when that worker's queue is full and errPoolClosed
+// after close; in both cases fn never runs. fn must not wait on other
+// pool work for its own worker (it runs on it).
+func (p *workerPool) submit(w int, fn func()) error {
+	p.mu.Lock() // held across the send: close never closes a queue under it
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return false
+		return errPoolClosed
 	}
-	p.inflight.Add(1)
-	p.mu.Unlock()
-	defer p.inflight.Done()
-
-	done := doneChans.Get().(chan struct{})
-	p.queues[shardOf(key, len(p.queues))] <- poolTask{fn: fn, done: done}
-	<-done
-	doneChans.Put(done)
-	return true
-}
-
-// tryRunShard enqueues fn on worker w without waiting for it to run,
-// reporting false — without enqueueing — when that worker's queue is
-// full or the pool is closed. It queues the paced sweeps (wheel.go):
-// an advance must never block behind a busy worker (that would stall
-// every other worker's sweep), so an overloaded worker sheds its sweep
-// and the next advance ticks the sessions. fn itself must not block on
-// pool work for the same worker (it runs on it).
-func (p *workerPool) tryRunShard(w int, fn func()) bool {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return false
-	}
-	p.inflight.Add(1)
-	p.mu.Unlock()
-	t := poolTask{fn: func() {
-		defer p.inflight.Done()
-		fn()
-	}}
 	select {
-	case p.queues[w] <- t:
-		return true
+	case p.queues[w] <- fn:
+		return nil
 	default:
-		p.inflight.Done()
-		return false
+		return errShed
 	}
 }
 
@@ -126,19 +88,16 @@ func (p *workerPool) tryRunShard(w int, fn func()) bool {
 // queue gauges on /v1/metricsz.
 func (p *workerPool) queueDepth(w int) int { return len(p.queues[w]) }
 
-// close rejects new work, waits for submitted work to complete, and
-// stops the workers.
+// close rejects new work, lets the workers run every task already
+// queued, and waits for them to stop.
 func (p *workerPool) close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
+	if !p.closed {
+		p.closed = true
+		for _, q := range p.queues {
+			close(q)
+		}
 	}
-	p.closed = true
 	p.mu.Unlock()
-	p.inflight.Wait()
-	for _, q := range p.queues {
-		close(q)
-	}
 	p.wg.Wait()
 }

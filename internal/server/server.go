@@ -288,10 +288,11 @@ func (s *Server) countFixes(fixes []tracker.Fix) {
 }
 
 // runSharded executes fn on the session's tracker from the worker pool
-// (see pool.go): same-session requests serialize on one worker, and
-// distinct sessions spread across the pool. It is the only blocking
-// pool dispatch; the error is a clientError for a closed pool (503), a
-// panic (500), or an evicted session (404).
+// (see pool.go) and waits for it: same-session requests serialize on
+// one worker, and distinct sessions spread across the pool. It never
+// waits for queue room: a full worker queue returns errShed, which each
+// transport maps and counts itself. Every other error is a clientError:
+// a closed pool (503), a panic (500), or an evicted session (404).
 //
 // Panics inside fn are caught on the worker — an unrecovered panic
 // there would kill the whole process, not just the request — while the
@@ -300,26 +301,36 @@ func (s *Server) countFixes(fixes []tracker.Fix) {
 // session stays usable too.
 func (s *Server) runSharded(ss *session, fn func(tk *tracker.Tracker)) error {
 	now := s.opts.Now()
-	alive := false
-	panicked := true
-	if !s.pool.run(ss.id, func() {
+	// One struct for the outcome and its completion, so the dispatch
+	// moves one object (and the closure) to the heap.
+	res := &struct {
+		done            sync.WaitGroup
+		alive, panicked bool
+	}{panicked: true}
+	res.done.Add(1)
+	err := s.pool.submit(shardOf(ss.id, len(s.pool.queues)), func() {
+		defer res.done.Done()
 		defer func() {
-			if !panicked {
+			if !res.panicked {
 				return
 			}
 			if rec := recover(); rec != nil {
 				s.met.panicsRecovered.Inc()
 			}
 		}()
-		alive = ss.withTracker(now, fn)
-		panicked = false
-	}) {
+		res.alive = ss.withTracker(now, fn)
+		res.panicked = false
+	})
+	if err == errPoolClosed {
 		return &clientError{http.StatusServiceUnavailable, "server shutting down"}
+	} else if err != nil {
+		return err
 	}
-	if panicked {
+	res.done.Wait()
+	if res.panicked {
 		return &clientError{http.StatusInternalServerError, "internal error"}
 	}
-	if !alive {
+	if !res.alive {
 		return &clientError{http.StatusNotFound, "session expired"}
 	}
 	return nil
@@ -665,7 +676,12 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request, v interface{}
 	if err != nil {
 		status := http.StatusInternalServerError
 		var ce *clientError
-		if errors.As(err, &ce) {
+		switch {
+		case errors.Is(err, errShed):
+			s.countShed(s.met.shedHTTP)
+			w.Header().Set("Retry-After", "1")
+			status = http.StatusServiceUnavailable
+		case errors.As(err, &ce):
 			status = ce.status
 		}
 		httpError(w, status, err.Error())

@@ -338,8 +338,9 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	}
 }
 
-// streamFail answers a protocol violation with an error frame and gives
-// up on the connection.
+// streamFail answers a failed frame — a protocol violation, a refused
+// request, or a shed — with an error frame and gives up on the
+// connection.
 func (s *Server) streamFail(sc *streamConn, seq uint64, msg string) {
 	s.met.streamErrors.Inc()
 	//lint:ignore errdrop the connection is being abandoned either way
@@ -403,14 +404,12 @@ func (s *Server) serveStreamFrames(rd *wire.Reader, sc *streamConn, st *streamSe
 		default:
 			err = fmt.Errorf("unexpected frame type %d", fr.Type)
 		}
-		if err != nil {
-			s.streamFail(sc, fr.Seq, err.Error())
-			return err
-		}
 		// Drain-then-commit: only when no complete frame is already
 		// buffered does the covering fsync run and the cumulative ack go
-		// out — one ack (and at most one fsync wait) per burst.
-		if ackSeq > 0 && !rd.FrameBuffered() {
+		// out — one ack (and at most one fsync wait) per burst. A failed
+		// frame (a shed, say) commits the batches appended ahead of it
+		// first, so a resume does not resend and ingest them again.
+		if ackSeq > 0 && (err != nil || !rd.FrameBuffered()) {
 			if err := s.waitDurable(ackWALSeq); err != nil {
 				return err // the covering fsync failed: the frames must not be acked
 			}
@@ -420,6 +419,10 @@ func (s *Server) serveStreamFrames(rd *wire.Reader, sc *streamConn, st *streamSe
 				return err
 			}
 			ackSeq, ackWALSeq = 0, 0
+		}
+		if err != nil {
+			s.streamFail(sc, fr.Seq, err.Error())
+			return err
 		}
 	}
 }
@@ -496,6 +499,9 @@ func (s *Server) streamClient(ss *session, sc *streamConn, fr wire.Frame, scratc
 	}
 	fixes, err := s.serveClient(ss, req, scratch.fixes[:0])
 	scratch.fixes = fixes
+	if errors.Is(err, errShed) {
+		s.countShed(s.met.shedStream) // answered by the loop's Error frame
+	}
 	if err != nil || !req.tick {
 		return err
 	}

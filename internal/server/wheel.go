@@ -14,8 +14,8 @@
 // A sweep visits all of its worker's entries and a worker runs its
 // sweeps in order, so an entry is ticked by the first sweep queued
 // after its deadline. A sweep shed by a full worker queue
-// (pool_shed_total) needs no recovery: its entries stay due and the
-// next advance ticks them.
+// (pool_shed{transport=paced}) needs no recovery: its entries stay due
+// and the next advance ticks them.
 //
 // Pacing semantics: a paced session is ticked at its tracker's last
 // event time (tracker.LastEventTime), i.e. as if the client had issued
@@ -114,12 +114,13 @@ func (s *Server) paceLoop() {
 	}
 }
 
-// AdvanceWheel queues one sweep at now on every worker that has paced
-// sessions and returns the number of sweeps queued. A worker whose
-// queue is full sheds its sweep (pool_shed_total); its due sessions
-// wait for the next advance. Production servers drive it from Start's
-// pace loop; tests and benchmarks inject a clock through Options.Now
-// and call it directly.
+// AdvanceWheel submits one sweep at now to every worker that has paced
+// sessions and returns the number of sweeps queued. It never waits on a
+// busy worker, which would stall every other worker's sweep: a worker
+// whose queue is full sheds its sweep (pool_shed{transport=paced}), and
+// its due sessions stay due for the next advance. Production servers
+// drive it from Start's pace loop; tests and benchmarks inject a clock
+// through Options.Now and call it directly.
 func (s *Server) AdvanceWheel(now time.Time) int {
 	queued := 0
 	for wi := range s.wheel {
@@ -127,10 +128,11 @@ func (s *Server) AdvanceWheel(now time.Time) int {
 		if l.size.Load() == 0 {
 			continue
 		}
-		if s.pool.tryRunShard(wi, func() { s.sweepPaced(l, now) }) {
+		switch s.pool.submit(wi, func() { s.sweepPaced(l, now) }) {
+		case nil:
 			queued++
-		} else {
-			s.met.poolShed.Inc()
+		case errShed:
+			s.countShed(s.met.shedPaced)
 		}
 	}
 	return queued

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
@@ -75,9 +74,10 @@ func TestPacedTickLateInSlot(t *testing.T) {
 }
 
 // TestPacedShedKeepsSessions pins the shed path: a sweep offered to a
-// worker whose queue is full is counted in pool_shed_total and dropped,
-// and its sessions stay scheduled and due, so the next advance after
-// the worker frees up ticks every one of them.
+// worker whose queue is full is counted in pool_shed{transport=paced}
+// and pool_shed_total and dropped, and its sessions stay scheduled and
+// due, so the next advance after the worker frees up ticks every one of
+// them.
 func TestPacedShedKeepsSessions(t *testing.T) {
 	sys := buildSys(t)
 	clock := newFakeClock()
@@ -92,24 +92,19 @@ func TestPacedShedKeepsSessions(t *testing.T) {
 	}
 
 	// Block the only worker, then fill its queue behind the blocker.
-	started, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	unblock := func() { once.Do(func() { close(release) }) }
+	unblock := blockWorker(t, srv)
 	defer unblock()
-	if !srv.pool.tryRunShard(0, func() { close(started); <-release }) {
-		t.Fatal("could not queue the blocking task")
-	}
-	<-started
-	for srv.pool.tryRunShard(0, func() {}) {
-	}
 
-	shed0 := srv.met.poolShed.Value()
+	shed0, paced0 := srv.met.poolShed.Value(), srv.met.shedPaced.Value()
 	clock.Advance(4 * time.Second)
 	if n := srv.AdvanceWheel(clock.Now()); n != 0 {
 		t.Fatalf("AdvanceWheel queued %d sweeps on a full worker", n)
 	}
 	if got := srv.met.poolShed.Value(); got != shed0+1 {
 		t.Fatalf("pool_shed_total = %d, want %d", got, shed0+1)
+	}
+	if got := srv.met.shedPaced.Value(); got != paced0+1 {
+		t.Fatalf("pool_shed{transport=paced} = %d, want %d", got, paced0+1)
 	}
 
 	unblock()

@@ -78,6 +78,7 @@ type Client struct {
 	connGen int   // increments per successful dial; stale readers exit quietly
 	dead    bool  // current conn is known broken; redial before next send
 	lastErr error // why the current conn died (diagnostics only)
+	refused error // a server error frame no waiting tick heard; the next session frame reports it
 	closed  bool
 
 	nextSeq uint64 // next observation frame sequence to assign
@@ -223,12 +224,6 @@ func (c *Client) redialLocked() error {
 		c.resumes++
 	}
 
-	// Every tick in flight on the old connection lost its reply.
-	for seq, ch := range c.ticks {
-		ch <- tickReply{err: errors.New("wire: connection lost before tick reply")}
-		delete(c.ticks, seq)
-	}
-
 	c.wg.Add(1)
 	go c.readLoop(conn, rd, c.connGen)
 	return nil
@@ -287,10 +282,16 @@ func (c *Client) readLoop(conn net.Conn, rd *Reader, gen int) {
 				ch <- tickReply{ok: false}
 			}
 		case FrameError:
+			// The server drops the refused frame and every frame
+			// pipelined behind it. Fire-and-forget IMU and scan frames
+			// carry sequence 0, so when no tick is waiting to hear such
+			// an error, the next session frame reports it instead.
 			err := fmt.Errorf("wire: server error: %s", fr.Payload)
 			if ch, ok := c.ticks[fr.Seq]; ok {
 				delete(c.ticks, fr.Seq)
 				ch <- tickReply{err: err}
+			} else if fr.Seq == 0 && len(c.ticks) == 0 {
+				c.refused = err
 			}
 			c.markDeadLocked(err)
 			c.mu.Unlock()
@@ -300,14 +301,19 @@ func (c *Client) readLoop(conn net.Conn, rd *Reader, gen int) {
 	}
 }
 
-// markDeadLocked records a broken connection and wakes every waiter so
-// blocked senders can trigger a redial.
+// markDeadLocked records a broken connection, fails every tick still
+// waiting on it (its reply can no longer come), and wakes every waiter
+// so blocked senders can trigger a redial.
 func (c *Client) markDeadLocked(err error) {
 	c.lastErr = err
 	c.dead = true
 	if c.conn != nil {
 		//lint:ignore errdrop the connection is being declared dead because of err; err is what matters
 		_ = c.conn.Close()
+	}
+	for seq, ch := range c.ticks {
+		ch <- tickReply{err: fmt.Errorf("wire: connection lost before tick reply: %w", err)}
+		delete(c.ticks, seq)
 	}
 	c.cond.Broadcast()
 }
@@ -420,7 +426,8 @@ func (c *Client) SendObservations(obs []motiondb.Observation) error {
 }
 
 // SendIMU streams an IMU batch for the scoped tracking session.
-// Fire-and-forget: no ack, no durability.
+// Fire-and-forget: no ack, no durability. If the server refuses it (a
+// shed, say), the next SendIMU, SendScan or Tick returns that error.
 func (c *Client) SendIMU(samples []sensors.Sample) error {
 	return c.sendSessionFrame(FrameIMUBatch, 0, func(buf []byte) []byte {
 		return AppendIMU(buf, samples)
@@ -437,7 +444,7 @@ func (c *Client) SendScan(t float64, rss []float64) error {
 func (c *Client) sendSessionFrame(typ uint8, seq uint64, enc func([]byte) []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(); err != nil {
+	if err := c.ensureSessionConnLocked(); err != nil {
 		return err
 	}
 	var buf []byte
@@ -454,11 +461,23 @@ func (c *Client) sendSessionFrame(typ uint8, seq uint64, enc func([]byte) []byte
 	return err
 }
 
+// ensureSessionConnLocked is ensureConnLocked for IMU, scan and tick
+// frames: it first reports, once, a server error that refused an
+// earlier session frame unheard, since the frames sent behind it were
+// dropped. The call after it redials.
+func (c *Client) ensureSessionConnLocked() error {
+	if err := c.refused; err != nil {
+		c.refused = nil
+		return err
+	}
+	return c.ensureConnLocked()
+}
+
 // Tick advances the scoped session's clock and waits for the server's
 // fix (ok=false when the interval produced none).
 func (c *Client) Tick(t float64) (loc int, moved, ok bool, err error) {
 	c.mu.Lock()
-	if cerr := c.ensureConnLocked(); cerr != nil {
+	if cerr := c.ensureSessionConnLocked(); cerr != nil {
 		c.mu.Unlock()
 		return 0, false, false, cerr
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -257,6 +258,97 @@ func TestClientMaxPendingBoundsRetransmitBuffer(t *testing.T) {
 	}
 	if got := c.Acked(); got != 3 {
 		t.Fatalf("acked = %d, want 3", got)
+	}
+}
+
+// refusingServer answers the hello, reads `read` frames, then sends one
+// error frame with sequence 0 (the reply to a refused fire-and-forget
+// frame) and holds the connection open until the test ends.
+func refusingServer(t *testing.T, read int) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		cn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer cn.Close()
+		rd := NewReader(cn, 0)
+		wr := NewWriter(cn)
+		if fr, err := rd.ReadFrame(); err != nil || fr.Type != FrameHello {
+			return
+		}
+		wr.WriteFrame(FrameHelloAck, 0, AppendWindow(nil, 1<<20))
+		wr.Flush()
+		for i := 0; i < read; i++ {
+			if _, err := rd.ReadFrame(); err != nil {
+				return
+			}
+		}
+		wr.WriteFrame(FrameError, 0, []byte("worker queue full (shed)"))
+		wr.Flush()
+		for {
+			if _, err := rd.ReadFrame(); err != nil {
+				return
+			}
+		}
+	}()
+	return ln
+}
+
+// TestClientTickFailsWhenPipelinedFrameRefused: the server refuses an
+// IMU frame that a tick was pipelined behind. The tick's own reply never
+// comes, so the tick must fail with the server's error, not wait forever.
+func TestClientTickFailsWhenPipelinedFrameRefused(t *testing.T) {
+	ln := refusingServer(t, 2) // the IMU frame and the tick
+	defer ln.Close()
+	c, err := DialStream(ln.Addr().String(), "pipelined", ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SendIMU(nil); err != nil {
+		t.Fatal(err)
+	}
+	ticked := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.Tick(1)
+		ticked <- err
+	}()
+	select {
+	case err := <-ticked:
+		if err == nil || !strings.Contains(err.Error(), "shed") {
+			t.Fatalf("tick behind a refused frame: err = %v, want the server's shed error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("tick behind a refused frame still waiting after 5s")
+	}
+}
+
+// TestClientReportsRefusedSessionFrame: with no tick waiting, a refused
+// IMU frame is reported by the next session-frame call, once.
+func TestClientReportsRefusedSessionFrame(t *testing.T) {
+	ln := refusingServer(t, 1)
+	defer ln.Close()
+	c, err := DialStream(ln.Addr().String(), "refused", ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Sends keep succeeding until the reader has seen the error frame;
+	// the first failing send must carry it.
+	deadline := time.Now().Add(5 * time.Second)
+	for err = c.SendIMU(nil); err == nil; err = c.SendIMU(nil) {
+		if time.Now().After(deadline) {
+			t.Fatal("the refused frame was never reported")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !strings.Contains(err.Error(), "shed") {
+		t.Fatalf("send after a refused frame: err = %v, want the server's shed error", err)
 	}
 }
 
