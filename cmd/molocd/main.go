@@ -32,8 +32,8 @@
 // pipeline length-prefixed observation/IMU/scan/tick frames under a
 // credit window, and get each observation batch acknowledged only after
 // its WAL record's covering fsync — with one group-committed fsync
-// amortized over every stream that raced in. molocsim -stream and
-// molocctl stream speak it.
+// amortized over every stream that raced in. molocctl stream speaks
+// it.
 //
 // -follow runs this molocd as a read replica: it dials the named
 // leader's -stream-addr listener, bootstraps from the leader's newest

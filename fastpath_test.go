@@ -69,24 +69,8 @@ func TestMoLocCompiledMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDeadReckoningCompiledMatchesReference is the same fix-for-fix
-// replay for the motion-only ablation, whose fast path additionally
-// reconstructs the full-grid posterior cut from the touched set.
-func TestDeadReckoningCompiledMatchesReference(t *testing.T) {
-	sys, dep := buildSmallDeployment(t)
-	fast, err := localizer.NewDeadReckoning(dep.FDB, sys.MDB, sys.Config.MoLoc)
-	if err != nil {
-		t.Fatalf("NewDeadReckoning: %v", err)
-	}
-	ref, err := localizer.NewDeadReckoningReference(dep.FDB, sys.MDB, sys.Config.MoLoc)
-	if err != nil {
-		t.Fatalf("NewDeadReckoningReference: %v", err)
-	}
-	replayTraces(t, dep, fast, ref)
-}
-
-// TestLocalizeZeroAllocs pins the steady-state Localize of both
-// compiled localizers at zero heap allocations.
+// TestLocalizeZeroAllocs pins the steady-state Localize of the
+// compiled MoLoc localizer at zero heap allocations.
 func TestLocalizeZeroAllocs(t *testing.T) {
 	sys, dep := buildSmallDeployment(t)
 	td := dep.TestData[0]
@@ -103,16 +87,6 @@ func TestLocalizeZeroAllocs(t *testing.T) {
 	ml.Localize(obs) // warm the scratch buffers
 	if avg := testing.AllocsPerRun(100, func() { ml.Localize(obs) }); avg != 0 {
 		t.Errorf("MoLoc.Localize allocates %.1f per run, want 0", avg)
-	}
-
-	dr, err := localizer.NewDeadReckoning(dep.FDB, sys.MDB, sys.Config.MoLoc)
-	if err != nil {
-		t.Fatalf("NewDeadReckoning: %v", err)
-	}
-	dr.Localize(localizer.Observation{FP: td.StartFP})
-	dr.Localize(obs)
-	if avg := testing.AllocsPerRun(100, func() { dr.Localize(obs) }); avg != 0 {
-		t.Errorf("DeadReckoning.Localize allocates %.1f per run, want 0", avg)
 	}
 }
 

@@ -464,57 +464,20 @@ func best(cands []fingerprint.Candidate) int {
 // DeadReckoning is an ablation localizer: after an initial fingerprint
 // fix, it tracks the user with motion matching only, ignoring all
 // subsequent fingerprints. It shows why MoLoc fuses both signals: pure
-// motion drifts as soon as one transition is misjudged.
-//
-// Like MoLoc, NewDeadReckoning compiles the motion database and reuses
-// every per-interval buffer; NewDeadReckoningReference keeps the
-// O(n·K) transcription as the executable specification.
+// motion drifts as soon as one transition is misjudged. It runs only
+// offline (the abl-hmm experiment), so it is the direct O(n·K)
+// transcription of Eq. 6.
 type DeadReckoning struct {
-	src fingerprint.CandidateSource
-	app fingerprint.CandidateAppender // non-nil when src supports appending
-	mdb *motiondb.DB
-	cmp *motiondb.Compiled // nil in reference mode
-	cfg Config
-
-	//moloc:reuse
+	src   fingerprint.CandidateSource
+	mdb   *motiondb.DB
+	cfg   Config
 	prior []fingerprint.Candidate
-
-	// Scratch reused across intervals by the compiled path.
-	//moloc:reuse
-	candBuf []fingerprint.Candidate
-	//moloc:reuse
-	postBuf []fingerprint.Candidate
-	//moloc:reuse
-	touchBuf []fingerprint.Candidate
-	//moloc:reuse
-	pmAll []float64 // accumulated motion mass by location
-	//moloc:reuse
-	seen []bool // touched marks by location
 }
 
 var _ Localizer = (*DeadReckoning)(nil)
 
-// NewDeadReckoning builds the motion-only ablation localizer, compiled
-// for the serving fast path.
+// NewDeadReckoning builds the motion-only ablation localizer.
 func NewDeadReckoning(src fingerprint.CandidateSource, mdb *motiondb.DB, cfg Config) (*DeadReckoning, error) {
-	dr, err := NewDeadReckoningReference(src, mdb, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cmp, err := mdb.Compile(cfg.Alpha, cfg.Beta)
-	if err != nil {
-		return nil, err
-	}
-	dr.cmp = cmp
-	dr.app, _ = src.(fingerprint.CandidateAppender)
-	dr.pmAll = make([]float64, src.NumLocs()+1)
-	dr.seen = make([]bool, src.NumLocs()+1)
-	return dr, nil
-}
-
-// NewDeadReckoningReference builds the uncompiled reference ablation
-// localizer, the executable specification for the compiled fast path.
-func NewDeadReckoningReference(src fingerprint.CandidateSource, mdb *motiondb.DB, cfg Config) (*DeadReckoning, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -524,159 +487,12 @@ func NewDeadReckoningReference(src fingerprint.CandidateSource, mdb *motiondb.DB
 // Name implements Localizer.
 func (dr *DeadReckoning) Name() string { return "dead-reckoning" }
 
-// Reset implements Localizer. Scratch buffers are retained.
+// Reset implements Localizer.
 func (dr *DeadReckoning) Reset() { dr.prior = dr.prior[:0] }
 
-// candidates queries the source, through the allocation-free append
-// API when the source supports it.
-//
-//moloc:reuse
-func (dr *DeadReckoning) candidates(fp fingerprint.Fingerprint) []fingerprint.Candidate {
-	if dr.app != nil {
-		dr.candBuf = dr.app.CandidatesAppend(dr.candBuf[:0], fp, dr.cfg.K)
-		return dr.candBuf
-	}
-	return dr.src.Candidates(fp, dr.cfg.K)
-}
-
-// Localize implements Localizer.
+// Localize implements Localizer: Eq. 6 evaluated at every location via
+// map lookups and exact Gaussian intervals.
 func (dr *DeadReckoning) Localize(obs Observation) int {
-	if dr.cmp != nil {
-		return dr.localizeCompiled(obs)
-	}
-	return dr.localizeReference(obs)
-}
-
-// localizeCompiled is the allocation-free serving path. The reference
-// evaluates Eq. 6 at every one of the n locations; almost all of them
-// have no motion-database edge from any prior candidate and share the
-// same floor mass sumPrior * UnreachableProb. The fast path therefore
-// walks only the compiled adjacency rows of the K prior candidates
-// ("touched" locations) and accounts for the untouched remainder in
-// closed form, including the top-K cut: a merge of the sorted touched
-// candidates with the (id-ascending, equal-mass) untouched stream.
-//
-//moloc:hotpath
-func (dr *DeadReckoning) localizeCompiled(obs Observation) int {
-	if len(dr.prior) == 0 || obs.Motion == nil {
-		cands := dr.candidates(obs.FP)
-		dr.prior = append(dr.prior[:0], cands...)
-		if len(dr.prior) == 0 {
-			return 0
-		}
-		return best(dr.prior)
-	}
-	d, o := obs.Motion.Dir, obs.Motion.Off
-	n := dr.src.NumLocs()
-	u := dr.cfg.UnreachableProb
-
-	// Scatter motion mass along the prior candidates' adjacency rows.
-	touched := dr.touchBuf[:0]
-	var sumPrior float64
-	for _, prev := range dr.prior {
-		sumPrior += prev.Prob
-		lo, hi := dr.cmp.Row(prev.Loc)
-		for e := lo; e < hi; e++ {
-			v := dr.cmp.Col(e)
-			if v > n {
-				continue // database knows more locations than the source
-			}
-			p := dr.cmp.EdgeProb(e, d, o)
-			if p < u {
-				p = u
-			}
-			if !dr.seen[v] {
-				dr.seen[v] = true
-				dr.pmAll[v] = 0
-				touched = append(touched, fingerprint.Candidate{Loc: v})
-			}
-			dr.pmAll[v] += prev.Prob * (p - u)
-		}
-	}
-	dr.touchBuf = touched
-
-	// Every untouched location carries exactly the floor mass. Filter
-	// the touched set to positive-mass locations in place; a dropped
-	// location (possible only when base == 0, so the merge below never
-	// consults seen) has its mark cleared here, because the in-place
-	// filter and sort scramble the shared backing array.
-	base := sumPrior * u
-	var norm float64
-	kept := 0
-	out := touched[:0]
-	for _, c := range touched {
-		c.Prob = dr.pmAll[c.Loc] + base
-		if c.Prob > 0 {
-			norm += c.Prob
-			out = append(out, c)
-		} else {
-			dr.seen[c.Loc] = false
-		}
-	}
-	untouched := n - len(touched)
-	kept = len(out)
-	if base > 0 {
-		norm += float64(untouched) * base
-		kept += untouched
-	}
-	if norm <= 0 || kept == 0 {
-		for _, c := range out {
-			dr.seen[c.Loc] = false
-		}
-		return best(dr.prior)
-	}
-
-	// Top-K cut, reproducing the reference's sort of the full posterior:
-	// merge the sorted touched candidates with the untouched stream,
-	// which is already ordered (equal probability, ascending ID).
-	sortByProb(out)
-	post := dr.postBuf[:0]
-	ti, uloc := 0, 1
-	for len(post) < dr.cfg.K && len(post) < kept {
-		nextU := 0
-		if base > 0 {
-			for uloc <= n && dr.seen[uloc] {
-				uloc++
-			}
-			if uloc <= n {
-				nextU = uloc
-			}
-		}
-		takeTouched := ti < len(out) &&
-			(nextU == 0 || out[ti].Prob > base ||
-				(out[ti].Prob == base && out[ti].Loc < nextU))
-		if takeTouched {
-			post = append(post, out[ti])
-			ti++
-		} else {
-			post = append(post, fingerprint.Candidate{Loc: nextU, Prob: base})
-			uloc++
-		}
-	}
-	for _, c := range out {
-		dr.seen[c.Loc] = false
-	}
-
-	for i := range post {
-		post[i].Prob /= norm
-	}
-	if kept > dr.cfg.K {
-		// The reference renormalizes only when the cut dropped mass.
-		var s float64
-		for _, c := range post {
-			s += c.Prob
-		}
-		for i := range post {
-			post[i].Prob /= s
-		}
-	}
-	dr.prior, dr.postBuf = post, dr.prior
-	return best(dr.prior)
-}
-
-// localizeReference is the direct transcription: Eq. 6 evaluated at
-// every location via map lookups and exact Gaussian intervals.
-func (dr *DeadReckoning) localizeReference(obs Observation) int {
 	if len(dr.prior) == 0 || obs.Motion == nil {
 		dr.prior = dr.src.Candidates(obs.FP, dr.cfg.K)
 		if len(dr.prior) == 0 {

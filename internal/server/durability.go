@@ -28,6 +28,7 @@ import (
 	"moloc/internal/checkpoint"
 	"moloc/internal/motiondb"
 	"moloc/internal/wal"
+	"moloc/internal/wire"
 )
 
 // Degradation-ladder states. The zero value is healthy so a server
@@ -107,12 +108,16 @@ type ckptEnvelope struct {
 }
 
 // openDurability recovers persisted state from DataDir and opens the
-// WAL for appending. It never refuses boot: every failure mode lands in
-// the degraded state with serving still up, because a localization
-// outage is strictly worse than serving fingerprint-only fixes.
+// WAL for appending. Every disk fault lands in the degraded state with
+// serving still up, because a localization outage is strictly worse
+// than serving fingerprint-only fixes. The one refusal is a format
+// mismatch, a deployment error rather than a disk fault: a record past
+// the checkpoint that is not a binary observation batch is a legacy
+// JSON record, and replaying around it would silently drop
+// acknowledged data, so boot fails naming its sequence.
 // Called from NewWithOptions before any request can arrive, so it may
 // touch retrainer state through the locked helpers without contention.
-func (s *Server) openDurability() {
+func (s *Server) openDurability() error {
 	o := s.opts
 	s.setState(stateRecovering)
 	s.store = &durableStore{ckptDir: filepath.Join(o.DataDir, "checkpoints")}
@@ -141,12 +146,13 @@ func (s *Server) openDurability() {
 
 	// Open the WAL, replaying the records past the checkpoint's coverage
 	// into the pending queue (without re-appending them: a nil store).
-	// Torn tails are truncated by wal.Open; a record that fails decoding
-	// or validation (possible only through corruption that beat the CRC)
-	// is skipped and counted.
+	// Torn tails are truncated by wal.Open; a binary record that fails
+	// decoding or validation (possible only through corruption that beat
+	// the CRC) is skipped and counted.
 	numLocs := s.plan.NumLocs()
 	replayed := 0
 	lastSeq := ckptSeq
+	var legacy error
 	log, err := wal.Open(filepath.Join(o.DataDir, "wal"), wal.Options{
 		FS:           o.FS,
 		SegmentBytes: o.WALSegmentBytes,
@@ -156,7 +162,12 @@ func (s *Server) openDurability() {
 		if seq <= ckptSeq {
 			return nil // already folded into the checkpoint
 		}
-		batch, err := decodeRecord(payload, nil)
+		if !wire.IsObsPayload(payload) {
+			legacy = fmt.Errorf("server: WAL record %d is a legacy JSON record, written before the WAL "+
+				"held binary observation batches; this server cannot replay it", seq)
+			return legacy
+		}
+		batch, err := wire.DecodeObservations(payload, nil)
 		if err != nil {
 			s.met.walReplaySkipped.Inc()
 			return nil
@@ -164,11 +175,14 @@ func (s *Server) openDurability() {
 		batch, dropped := keepValid(batch, numLocs)
 		s.met.walReplaySkipped.Add(dropped)
 		replayed += len(batch)
-		if _, ok, err := s.retrain.append(nil, nil, batch); err != nil || !ok {
+		if _, full, err := s.retrain.append(nil, nil, batch); err != nil || full != nil {
 			s.met.observationsDropped.Add(int64(len(batch)))
 		}
 		return nil
 	})
+	if legacy != nil {
+		return legacy
+	}
 	if err != nil {
 		degraded = true
 	} else {
@@ -196,6 +210,7 @@ func (s *Server) openDurability() {
 	} else {
 		s.setState(stateOK)
 	}
+	return nil
 }
 
 // installCheckpoint decodes a checkpoint payload and installs it as the

@@ -23,6 +23,8 @@ import (
 	"moloc/internal/motiondb"
 	"moloc/internal/sensors"
 	"moloc/internal/stats"
+	"moloc/internal/wal"
+	"moloc/internal/wire"
 )
 
 // buildSys builds the small office-hall deployment once per test.
@@ -410,6 +412,68 @@ func TestWALOpenFailureServesFingerprintOnly(t *testing.T) {
 	fix := driveHTTPFix(t, ts, sys, id, 0, 7, 3)
 	if fix.Mode != "fingerprint" {
 		t.Fatalf("fix mode = %q, want fingerprint", fix.Mode)
+	}
+}
+
+// TestWALLegacyJSONRefusedAtBoot: replay decodes only binary
+// observation batches. A JSON record past the checkpoint makes boot
+// fail with an error naming its sequence, instead of being folded or
+// skipped; a WAL of binary records boots and replays as before.
+func TestWALLegacyJSONRefusedAtBoot(t *testing.T) {
+	sys := buildSys(t)
+	pair := firstPair(t, sys.MDB)
+	b1 := obsNear(sys.Plan, pair[0], pair[1], 5)
+	b2 := obsNear(sys.Plan, pair[0], pair[1], 3)
+
+	// writeWAL lays down one record per payload, as a crashed server
+	// leaves them, and returns the data directory.
+	writeWAL := func(payloads ...[]byte) string {
+		t.Helper()
+		dir := t.TempDir()
+		log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			if _, err := log.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	binary := writeWAL(wire.AppendObservations(nil, b1), wire.AppendObservations(nil, b2))
+	srv := durableServer(t, sys, Options{DataDir: binary})
+	defer srv.Close()
+	if got := srv.ServingState(); got != "ok" {
+		t.Fatalf("state after binary replay = %q, want ok", got)
+	}
+	if got := srv.met.walReplayed.Value(); got != int64(len(b1)+len(b2)) {
+		t.Errorf("wal_replayed_observations = %d, want %d", got, len(b1)+len(b2))
+	}
+	if got := srv.met.walReplaySkipped.Value(); got != 0 {
+		t.Errorf("wal_replay_skipped = %d on a clean binary WAL", got)
+	}
+
+	legacyJSON, err := json.Marshal(b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := writeWAL(wire.AppendObservations(nil, b1), legacyJSON)
+	fdb, err := sys.Survey.BuildDB(fingerprint.Euclidean{}, sys.Model.NumAPs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := NewWithOptions(sys.Plan, fdb, sys.Model.NumAPs(), sys.MDB, sys.Config.Motion, Options{DataDir: legacy})
+	if err == nil {
+		bad.Close()
+		t.Fatal("boot over a WAL holding a JSON record succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "record 2") || !strings.Contains(msg, "legacy JSON") {
+		t.Fatalf("boot error %q does not name legacy JSON record 2", msg)
 	}
 }
 

@@ -165,7 +165,7 @@ func (ra *replApplier) Apply(seq uint64, payload []byte) error {
 	// invalid observations still appends (the WAL must stay
 	// byte-identical); only the fold drops them, as the leader's own
 	// replay would.
-	batch, err := decodeRecord(payload, ra.obs)
+	batch, err := wire.DecodeObservations(payload, ra.obs)
 	if err != nil {
 		return fmt.Errorf("server: replicated record %d: %w", seq, err)
 	}

@@ -34,7 +34,8 @@ import (
 // queue, RetrainNow drains it and rebuilds. Holding mu across the whole
 // retrain keeps the invariants trivial; ingest blocks for at most the
 // few milliseconds a batch rebuild takes, invisible next to the
-// network.
+// network. An ingest that found the queue full waits on drained, which
+// every drain closes and replaces.
 type retrainer struct {
 	alpha, beta float64
 	queueCap    int
@@ -43,6 +44,7 @@ type retrainer struct {
 
 	mu      sync.Mutex
 	pending []motiondb.Observation
+	drained chan struct{}
 	builder *motiondb.Builder
 	db      *motiondb.DB
 	dirty   [][2]int // scratch, reused across retrains
@@ -65,6 +67,7 @@ func newRetrainer(plan *floorplan.Plan, mdb *motiondb.DB, lcfg localizer.Config,
 		plan:     plan,
 		graph:    o.TrainGraph,
 		db:       mdb.Clone(),
+		drained:  make(chan struct{}),
 	}
 	b, err := rt.newBuilder()
 	if err != nil {
@@ -101,28 +104,37 @@ func (rt *retrainer) pendingLen() int {
 
 // append is the retrainer's one enqueue: the payload goes into the WAL
 // without its own fsync (wal.AppendNoSync) and obs into the pending
-// queue, both under rt.mu so WAL order is queue order. ok=false means
-// the queue is full and nothing was written. A nil store skips the WAL
-// (durability off); a store whose WAL never opened refuses the batch
-// with errWALUnavailable.
-func (rt *retrainer) append(store *durableStore, payload []byte, obs []motiondb.Observation) (seq uint64, ok bool, err error) {
+// queue, both under rt.mu so WAL order is queue order. A non-nil full
+// means the queue had no room and nothing was written; full is closed
+// by the next drain. A nil store skips the WAL (durability off); a
+// store whose WAL never opened refuses the batch with
+// errWALUnavailable.
+func (rt *retrainer) append(store *durableStore, payload []byte, obs []motiondb.Observation) (seq uint64, full <-chan struct{}, err error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if len(rt.pending)+len(obs) > rt.queueCap {
-		return 0, false, nil
+		return 0, rt.drained, nil
 	}
 	if store != nil {
 		if store.log == nil {
-			return 0, false, errWALUnavailable
+			return 0, nil, errWALUnavailable
 		}
 		seq, err = store.log.AppendNoSync(payload)
 		if err != nil {
-			return 0, false, err
+			return 0, nil, err
 		}
 		rt.lastSeq = seq
 	}
 	rt.pending = append(rt.pending, obs...)
-	return seq, true, nil
+	return seq, nil, nil
+}
+
+// drainLocked empties the pending queue and wakes every ingest waiting
+// for room. Callers hold rt.mu.
+func (rt *retrainer) drainLocked() {
+	rt.pending = rt.pending[:0]
+	close(rt.drained)
+	rt.drained = make(chan struct{})
 }
 
 // initSeqs records the recovered checkpoint coverage and the newest
@@ -150,7 +162,7 @@ func (rt *retrainer) restore(db *motiondb.DB, builderState []byte) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.builder, rt.db = b, db
-	rt.pending = rt.pending[:0]
+	rt.drainLocked()
 	return nil
 }
 
@@ -188,7 +200,7 @@ func (s *Server) RetrainNow() (int, error) {
 	}
 	t0 := time.Now()
 	rt.builder.AddAll(rt.pending)
-	rt.pending = rt.pending[:0]
+	rt.drainLocked()
 
 	built := rt.builder.Build()
 	dirty := rt.dirty[:0]
@@ -382,17 +394,18 @@ var (
 // append without fsync, then the pending queue, under one lock) and
 // returns the WAL sequence the caller must pass to waitDurable before
 // it acks (0 with durability off). A full queue fails with
-// errQueueFull, or with block set waits for a retrain to drain it
-// until the server closes. A WAL failure degrades the ladder.
+// errQueueFull, or with block set waits for the next drain (a retrain
+// or a checkpoint restore) and retries, until the server closes. A WAL
+// failure degrades the ladder.
 func (s *Server) ingest(payload []byte, obs []motiondb.Observation, block bool) (uint64, error) {
 	for {
-		seq, ok, err := s.retrain.append(s.store, payload, obs)
+		seq, full, err := s.retrain.append(s.store, payload, obs)
 		switch {
 		case err != nil:
 			s.met.walAppendErrors.Inc()
 			s.setState(stateDegraded)
 			return 0, fmt.Errorf("observation log unavailable: %w", err)
-		case ok:
+		case full == nil:
 			if s.store != nil {
 				s.met.walAppends.Inc()
 			}
@@ -400,7 +413,10 @@ func (s *Server) ingest(payload []byte, obs []motiondb.Observation, block bool) 
 			return seq, nil
 		case !block:
 			return 0, errQueueFull
-		case s.waitDone(2 * time.Millisecond):
+		}
+		select {
+		case <-full:
+		case <-s.done:
 			return 0, errShuttingDown
 		}
 	}
@@ -452,19 +468,4 @@ func keepValid(obs []motiondb.Observation, numLocs int) ([]motiondb.Observation,
 		}
 	}
 	return valid, int64(len(obs) - len(valid))
-}
-
-// decodeRecord decodes one WAL record payload into dst's storage. The
-// WAL holds two encodings: binary batches (self-identified by
-// wire.ObsMagic, which no JSON document can start with) and the legacy
-// JSON of early HTTP ingest.
-//
-//moloc:reuse
-func decodeRecord(payload []byte, dst []motiondb.Observation) ([]motiondb.Observation, error) {
-	if wire.IsObsPayload(payload) {
-		return wire.DecodeObservations(payload, dst)
-	}
-	batch := dst[:0]
-	err := json.Unmarshal(payload, &batch)
-	return batch, err
 }

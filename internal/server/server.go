@@ -163,12 +163,16 @@ func NewWithOptions(plan *floorplan.Plan, src fingerprint.CandidateSource, numAP
 	s.snap.Store(cmp)
 	s.registerPoolGauges()
 	if o.DataDir != "" {
-		s.openDurability()
+		if err := s.openDurability(); err != nil {
+			s.pool.close()
+			return nil, err
+		}
 	}
 	if o.FollowAddr != "" {
 		// A follower replays the leader's history into its own WAL; both
 		// sides of that need working durability.
 		if s.store == nil || s.store.log == nil {
+			s.pool.close()
 			return nil, fmt.Errorf("server: following %s requires durability (DataDir with a working WAL)", o.FollowAddr)
 		}
 		s.role.Store(roleFollower)

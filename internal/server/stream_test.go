@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"moloc/internal/sensors"
 	"moloc/internal/stats"
@@ -334,5 +335,108 @@ func TestStreamDuplicateAndGap(t *testing.T) {
 	fr, err := rd.ReadFrame()
 	if err != nil || fr.Type != wire.FrameHelloAck || fr.Seq != 1 {
 		t.Fatalf("resume hello-ack: %v type %d seq %d", err, fr.Type, fr.Seq)
+	}
+}
+
+// TestStreamIngestWakesOnDrain: a stream batch that finds the
+// observation queue full waits for the retrainer's next drain, not for
+// a poll. It gets no ack while the queue stays full, is acked once
+// RetrainNow drains it, and a second blocked batch ends unacked, with
+// Close returning promptly.
+func TestStreamIngestWakesOnDrain(t *testing.T) {
+	const queueCap = 8
+	sys := buildSys(t)
+	srv := durableServer(t, sys, Options{ObsQueueCap: queueCap, RetrainInterval: time.Hour})
+	closed := false
+	defer func() {
+		if !closed {
+			srv.Close()
+		}
+	}()
+	addr := startStream(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	pair := firstPair(t, sys.MDB)
+	postObs(t, ts, obsNear(sys.Plan, pair[0], pair[1], queueCap), http.StatusAccepted)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd, wr := wire.NewReader(conn, 0), wire.NewWriter(conn)
+	wr.WriteFrame(wire.FrameHello, 0, wire.AppendHello(nil, "drain-wake", ""))
+	if err := wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if fr, err := rd.ReadFrame(); err != nil || fr.Type != wire.FrameHelloAck {
+		t.Fatalf("hello-ack: %v type %d", err, fr.Type)
+	}
+	type reply struct {
+		typ uint8
+		seq uint64
+	}
+	replies := make(chan reply, 8)
+	go func() {
+		defer close(replies)
+		for {
+			fr, err := rd.ReadFrame()
+			if err != nil {
+				return
+			}
+			replies <- reply{fr.Type, fr.Seq}
+		}
+	}()
+	// sendBlocked writes one batch frame and waits until the server has
+	// read it; the queue is full, so it must then sit in ingest.
+	sendBlocked := func(seq uint64, n int) {
+		t.Helper()
+		frames := srv.met.streamFrames.Value()
+		wr.WriteFrame(wire.FrameObsBatch, seq, wire.AppendObservations(nil, obsNear(sys.Plan, pair[0], pair[1], n)))
+		if err := wr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); srv.met.streamFrames.Value() == frames; {
+			if time.Now().After(deadline) {
+				t.Fatalf("server never read frame %d", seq)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case r := <-replies:
+			t.Fatalf("reply type %d seq %d to a batch the full queue cannot hold", r.typ, r.seq)
+		case <-time.After(100 * time.Millisecond):
+		}
+		if got := srv.retrain.pendingLen(); got != queueCap {
+			t.Fatalf("pending = %d with frame %d blocked, want the full %d", got, seq, queueCap)
+		}
+	}
+
+	sendBlocked(1, 3)
+	if _, err := srv.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r, ok := <-replies:
+		if !ok || r.typ != wire.FrameAck || r.seq != 1 {
+			t.Fatalf("after the drain: reply %+v (open %v), want ack 1", r, ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch 1 still unacked 5s after the drain")
+	}
+
+	// 3 queued + 6 more exceeds the cap of 8: frame 2 blocks again.
+	postObs(t, ts, obsNear(sys.Plan, pair[0], pair[1], queueCap-3), http.StatusAccepted)
+	sendBlocked(2, 6)
+	start := time.Now()
+	srv.Close()
+	closed = true
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v with a batch blocked in ingest", d)
+	}
+	for r := range replies {
+		if r.typ == wire.FrameAck {
+			t.Fatalf("ack %d after Close; blocked batch 2 must end unacked", r.seq)
+		}
 	}
 }

@@ -137,8 +137,8 @@ func TestObservationsScratchReuse(t *testing.T) {
 }
 
 func TestObservationsJSONDisjoint(t *testing.T) {
-	// The WAL holds both legacy JSON batches and binary ones; the magic
-	// byte must cleanly separate them.
+	// WAL replay refuses a legacy JSON batch by this test, so the magic
+	// byte must cleanly separate the two encodings.
 	for _, j := range []string{`[{"from":1}]`, `{"observations":[]}`} {
 		if IsObsPayload([]byte(j)) {
 			t.Fatalf("JSON %q misidentified as binary", j)

@@ -2,9 +2,7 @@
 // encoded bytes travel client → frame payload → WAL record payload
 // unchanged, so a batch is serialized exactly once on the phone and
 // never re-encoded server-side. The codec self-identifies with a magic
-// byte so WAL replay (which also sees legacy JSON payloads from the
-// HTTP path, first byte '[' or '{') can route each record to the right
-// decoder.
+// byte, so WAL replay can tell a binary batch from any other record.
 package wire
 
 import (
@@ -19,8 +17,7 @@ import (
 )
 
 // ObsMagic is the first byte of every binary observation payload. It is
-// deliberately outside the ASCII range so no JSON document — which the
-// legacy HTTP ingest path also writes into the same WAL — can start
+// deliberately outside the ASCII range so no JSON document can start
 // with it.
 const ObsMagic = 0xB1
 
@@ -43,8 +40,7 @@ var (
 )
 
 // IsObsPayload reports whether payload starts like a binary observation
-// batch, distinguishing it from the legacy JSON batches that share the
-// WAL.
+// batch.
 func IsObsPayload(payload []byte) bool {
 	return len(payload) > 0 && payload[0] == ObsMagic
 }
