@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-json bench-diff experiments examples smoke chaos clean
+.PHONY: all build vet lint test race cover loc bench bench-json bench-diff experiments examples smoke chaos clean
 
 all: build vet lint test
 
@@ -49,6 +49,11 @@ chaos:
 
 cover:
 	$(GO) test -cover ./...
+
+# Non-test Go lines, the size figure ROADMAP.md tracks (perfbench is
+# its own module and is not counted).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './perfbench/*' | xargs wc -l | tail -1
 
 # Regenerate every paper table/figure plus ablations (EXPERIMENTS.md).
 experiments:

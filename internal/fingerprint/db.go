@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 )
@@ -148,53 +149,77 @@ func (db *DB) KNearestAppend(dst []Candidate, f Fingerprint, k int) []Candidate 
 	if k <= 0 {
 		return dst[:0]
 	}
-	if cap(dst) < k {
-		dst = make([]Candidate, 0, k)
-	} else {
-		dst = dst[:0]
-	}
 	mustSameLen(f, db.fps[0])
+	return db.kNearestScan(candBuf(dst, k), f, k, nil)
+}
 
-	// Selection scan: dst[:m] holds the current best, sorted by
-	// (dissimilarity, location). Scanning locations in ascending order
-	// makes the strict shift condition reproduce the reference sort's
-	// deterministic tie-break for free.
+// kNearestScan is the exact bounded selection of Eq. 3–4 into dst
+// (empty, capacity k) over the locations q admits: every location when
+// q is nil, the masked ones otherwise.
+//
+//moloc:hotpath
+func (db *DB) kNearestScan(dst []Candidate, f Fingerprint, k int, q *Query) []Candidate {
 	_, euclid := db.metric.(Euclidean)
-	w := db.numAPs
-	m := 0
+	n := len(db.fps)
 	worst := math.Inf(1)
-	for i := 0; i < n; i++ {
-		var d float64
-		if euclid {
-			// Inlined Eq. 1 over the contiguous row: the common metric
-			// skips the interface call in the innermost loop.
-			row := db.flat[i*w : i*w+w]
-			var s float64
-			for a, v := range f {
-				dv := v - row[a]
-				s += dv * dv
+	for bi, nb := 0, scanBlocks(q, n); bi < nb; bi++ {
+		b, word := scanLanes(q, bi, n)
+		for ; word != 0; word &= word - 1 {
+			i := b*qBlock + bits.TrailingZeros64(word)
+			var d float64
+			if euclid {
+				d = db.rowDist(f, i)
+			} else {
+				d = db.metric.Distance(f, db.fps[i])
 			}
-			d = math.Sqrt(s)
-		} else {
-			d = db.metric.Distance(f, db.fps[i])
+			if len(dst) < k || d < worst {
+				dst = selectK(dst, k, i+1, d)
+				worst = dst[len(dst)-1].Dissim
+			}
 		}
-		if m == k && d >= worst {
-			continue
-		}
-		if m < k {
-			m++
-			dst = dst[:m]
-		}
-		j := m - 1
-		for j > 0 && dst[j-1].Dissim > d {
-			dst[j] = dst[j-1]
-			j--
-		}
-		dst[j] = Candidate{Loc: i + 1, Dissim: d}
-		worst = dst[m-1].Dissim
 	}
 	assignProbs(dst)
 	return dst
+}
+
+// rowDist is Eq. 1 under the Euclidean metric against the contiguous
+// row of 0-based location i: the common metric skips the interface call
+// in the innermost loop.
+func (db *DB) rowDist(f Fingerprint, i int) float64 {
+	row := db.flat[i*db.numAPs : (i+1)*db.numAPs]
+	var s float64
+	for a, v := range f {
+		dv := v - row[a]
+		s += dv * dv
+	}
+	return math.Sqrt(s)
+}
+
+// candBuf returns dst emptied, or a fresh buffer when its capacity
+// cannot hold k candidates.
+func candBuf(dst []Candidate, k int) []Candidate {
+	if cap(dst) < k {
+		return make([]Candidate, 0, k)
+	}
+	return dst[:0]
+}
+
+// selectK is the one bounded top-k insertion every candidate scan
+// shares: it inserts (loc, d) into c (capacity k, sorted by
+// dissimilarity), dropping the worst when c is full. Callers keep the
+// rejection test (len(c) < k || d < worst) inline and offer locations
+// in ascending order, so ties resolve as in the reference sort.
+func selectK(c []Candidate, k, loc int, d float64) []Candidate {
+	if len(c) < k {
+		c = c[:len(c)+1]
+	}
+	j := len(c) - 1
+	for j > 0 && c[j-1].Dissim > d {
+		c[j] = c[j-1]
+		j--
+	}
+	c[j] = Candidate{Loc: loc, Dissim: d}
+	return c
 }
 
 // KNearestRef is the pre-compilation reference implementation of

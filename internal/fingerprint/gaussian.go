@@ -3,6 +3,7 @@ package fingerprint
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"moloc/internal/stats"
@@ -160,31 +161,28 @@ func (g *GaussianDB) CandidatesAppend(dst []Candidate, f Fingerprint, k int) []C
 	if k <= 0 {
 		return dst[:0]
 	}
-	if cap(dst) < k {
-		dst = make([]Candidate, 0, k)
-	} else {
-		dst = dst[:0]
-	}
-	// Selection scan ordered by (negative log-likelihood, location),
-	// identical to CandidatesRef's sort; see DB.KNearestAppend.
-	m := 0
+	return g.candidatesScan(candBuf(dst, k), f, k, nil)
+}
+
+// candidatesScan ranks the locations q admits (every location when q
+// is nil) by negative log-likelihood with the same bounded selection
+// as DB.kNearestScan, ordered exactly as CandidatesRef's sort, and
+// softmax-normalizes the result. dst must be empty with capacity k.
+//
+//moloc:hotpath
+func (g *GaussianDB) candidatesScan(dst []Candidate, f Fingerprint, k int, q *Query) []Candidate {
+	n := g.NumLocs()
 	worst := math.Inf(1)
-	for i := 0; i < n; i++ {
-		d := -g.LogLikelihood(i+1, f)
-		if m == k && d >= worst {
-			continue
+	for bi, nb := 0, scanBlocks(q, n); bi < nb; bi++ {
+		b, word := scanLanes(q, bi, n)
+		for ; word != 0; word &= word - 1 {
+			i := b*qBlock + bits.TrailingZeros64(word)
+			d := -g.LogLikelihood(i+1, f)
+			if len(dst) < k || d < worst {
+				dst = selectK(dst, k, i+1, d)
+				worst = dst[len(dst)-1].Dissim
+			}
 		}
-		if m < k {
-			m++
-			dst = dst[:m]
-		}
-		j := m - 1
-		for j > 0 && dst[j-1].Dissim > d {
-			dst[j] = dst[j-1]
-			j--
-		}
-		dst[j] = Candidate{Loc: i + 1, Dissim: d}
-		worst = dst[m-1].Dissim
 	}
 	softmaxProbs(dst)
 	return dst

@@ -6,9 +6,16 @@ import (
 	"moloc/internal/stats"
 )
 
-// randomDB builds a radio map of n locations with w APs from seeded
-// noise, optionally duplicating some rows to force dissimilarity ties.
+// randomDB builds a Euclidean radio map of n locations with w APs from
+// seeded noise, optionally duplicating some rows to force dissimilarity
+// ties.
 func randomDB(t *testing.T, n, w int, ties bool) *DB {
+	t.Helper()
+	return randomMetricDB(t, Euclidean{}, n, w, ties)
+}
+
+// randomMetricDB is randomDB under any metric.
+func randomMetricDB(t *testing.T, metric Metric, n, w int, ties bool) *DB {
 	t.Helper()
 	rng := stats.NewRNG(42)
 	samples := make([][]Fingerprint, n)
@@ -23,12 +30,17 @@ func randomDB(t *testing.T, n, w int, ties bool) *DB {
 		copy(samples[n-1][0], samples[1][0]) // exact twin: guaranteed ties
 		copy(samples[n-2][0], samples[2][0])
 	}
-	db, err := NewDB(Euclidean{}, w, samples)
+	db, err := NewDB(metric, w, samples)
 	if err != nil {
 		t.Fatalf("NewDB: %v", err)
 	}
 	return db
 }
+
+// equivMetrics are the metrics the exact-scan equivalence tables run
+// under: Euclidean takes the inlined distance (and the quantized kernel
+// on masked scans), Manhattan the metric interface and the exact scan.
+var equivMetrics = []Metric{Euclidean{}, Manhattan{}}
 
 func randomScan(rng *stats.RNG, w int) Fingerprint {
 	fp := make(Fingerprint, w)
@@ -68,31 +80,34 @@ func candidatesEqual(a, b []Candidate) bool {
 
 // TestKNearestAppendMatchesRef checks value-exact equivalence between
 // the selection-scan fast path and the sort-based reference, across
-// sizes, k values, tie-heavy maps, and exact radio-map matches.
+// metrics, sizes (including block boundaries: n = 63, 64, 65, 128,
+// 129), k values, tie-heavy maps, and exact radio-map matches.
 func TestKNearestAppendMatchesRef(t *testing.T) {
 	rng := stats.NewRNG(7)
-	for _, n := range []int{1, 2, 5, 28, 160} {
-		for _, ties := range []bool{false, true} {
-			db := randomDB(t, n, 6, ties)
-			var buf []Candidate
-			for _, k := range []int{1, 2, 3, 8, n, n + 5} {
-				for trial := 0; trial < 20; trial++ {
-					var fp Fingerprint
-					if trial%5 == 0 {
-						fp = db.At(rng.Intn(n) + 1) // exact match path
-					} else {
-						fp = randomScan(rng, 6)
-					}
-					want := db.KNearestRef(fp, k)
-					got := db.KNearest(fp, k)
-					if !candidatesEqual(got, want) {
-						t.Fatalf("n=%d ties=%v k=%d: KNearest = %v, reference %v",
-							n, ties, k, got, want)
-					}
-					buf = db.KNearestAppend(buf, fp, k)
-					if !candidatesEqual(buf, want) {
-						t.Fatalf("n=%d ties=%v k=%d: KNearestAppend = %v, reference %v",
-							n, ties, k, buf, want)
+	for _, metric := range equivMetrics {
+		for _, n := range []int{1, 2, 5, 28, 63, 64, 65, 128, 129, 160} {
+			for _, ties := range []bool{false, true} {
+				db := randomMetricDB(t, metric, n, 6, ties)
+				var buf []Candidate
+				for _, k := range []int{1, 2, 3, 8, n, n + 5} {
+					for trial := 0; trial < 20; trial++ {
+						var fp Fingerprint
+						if trial%5 == 0 {
+							fp = db.At(rng.Intn(n) + 1) // exact match path
+						} else {
+							fp = randomScan(rng, 6)
+						}
+						want := db.KNearestRef(fp, k)
+						got := db.KNearest(fp, k)
+						if !candidatesEqual(got, want) {
+							t.Fatalf("%s n=%d ties=%v k=%d: KNearest = %v, reference %v",
+								metric.Name(), n, ties, k, got, want)
+						}
+						buf = db.KNearestAppend(buf, fp, k)
+						if !candidatesEqual(buf, want) {
+							t.Fatalf("%s n=%d ties=%v k=%d: KNearestAppend = %v, reference %v",
+								metric.Name(), n, ties, k, buf, want)
+						}
 					}
 				}
 			}
@@ -181,33 +196,38 @@ func TestKNearestQuantMatchesRef(t *testing.T) {
 // TestMaskedCandidatesMatchFilteredRef checks the masked scans of both
 // sources against the executable specification: run the reference over
 // the full map, keep only masked locations, take the top k, and
-// re-normalize probabilities over that subset.
+// re-normalize probabilities over that subset. It runs across metrics
+// (Manhattan takes the exact masked scan) and block-boundary sizes.
 func TestMaskedCandidatesMatchFilteredRef(t *testing.T) {
 	rng := stats.NewRNG(23)
-	for _, ties := range []bool{false, true} {
-		db := randomDB(t, 160, 6, ties)
-		q := NewQuery(160)
-		var buf []Candidate
-		for trial := 0; trial < 30; trial++ {
-			q.ResetMask()
-			nMask := 1 + rng.Intn(30)
-			for i := 0; i < nMask; i++ {
-				q.MaskLoc(rng.Intn(160) + 1)
-			}
-			fp := randomScan(rng, 6)
-			if trial%6 == 0 {
-				fp = db.At(rng.Intn(160) + 1)
-			}
-			for _, k := range []int{1, 3, 8, q.MaskCount(), q.MaskCount() + 4} {
-				want := maskedRef(db.KNearestRef(fp, 160), q, k)
-				var ok bool
-				buf, ok = db.CandidatesMaskedAppend(buf, fp, k, q)
-				if !ok {
-					t.Fatalf("masked scan refused a %d-location mask", q.MaskCount())
-				}
-				if !candidatesEqual(buf, want) {
-					t.Fatalf("ties=%v k=%d mask=%d: masked = %v, filtered reference %v",
-						ties, k, q.MaskCount(), buf, want)
+	for _, metric := range equivMetrics {
+		for _, n := range []int{63, 64, 65, 128, 129, 160} {
+			for _, ties := range []bool{false, true} {
+				db := randomMetricDB(t, metric, n, 6, ties)
+				q := NewQuery(n)
+				var buf []Candidate
+				for trial := 0; trial < 30; trial++ {
+					q.ResetMask()
+					nMask := 1 + rng.Intn(30)
+					for i := 0; i < nMask; i++ {
+						q.MaskLoc(rng.Intn(n) + 1)
+					}
+					fp := randomScan(rng, 6)
+					if trial%6 == 0 {
+						fp = db.At(rng.Intn(n) + 1)
+					}
+					for _, k := range []int{1, 3, 8, q.MaskCount(), q.MaskCount() + 4} {
+						want := maskedRef(db.KNearestRef(fp, n), q, k)
+						var ok bool
+						buf, ok = db.CandidatesMaskedAppend(buf, fp, k, q)
+						if !ok {
+							t.Fatalf("masked scan refused a %d-location mask", q.MaskCount())
+						}
+						if !candidatesEqual(buf, want) {
+							t.Fatalf("%s n=%d ties=%v k=%d mask=%d: masked = %v, filtered reference %v",
+								metric.Name(), n, ties, k, q.MaskCount(), buf, want)
+						}
+					}
 				}
 			}
 		}

@@ -170,16 +170,39 @@ func (q *Query) Masked(loc int) bool {
 	return q.words[i/qBlock]&(1<<uint(i%qBlock)) != 0
 }
 
-// sortTouched orders the marked block list ascending so masked scans
-// visit locations in ID order (the selection tie-break depends on it).
-// Insertion sort: a gate mask touches a handful of blocks.
-func (q *Query) sortTouched() {
+// scanBlocks returns how many blocks a scan over n locations visits:
+// every block when q is nil, else the mask's marked blocks, sorted
+// ascending so lanes come in location order (the selection tie-break
+// depends on it). Insertion sort: a gate mask touches a few blocks.
+func scanBlocks(q *Query, n int) int {
+	if q == nil {
+		return (n + qBlock - 1) / qBlock
+	}
 	t := q.touched
 	for i := 1; i < len(t); i++ {
 		for j := i; j > 0 && t[j] < t[j-1]; j-- {
 			t[j], t[j-1] = t[j-1], t[j]
 		}
 	}
+	return len(t)
+}
+
+// scanLanes returns the bi-th visited block and its lane word: the mask
+// word, or every location of the block when q is nil, in either case
+// clipped to the n locations the source holds.
+func scanLanes(q *Query, bi, n int) (b int, word uint64) {
+	b, word = bi, ^uint64(0)
+	if q != nil {
+		b = int(q.touched[bi])
+		word = q.words[b]
+	}
+	if rest := n - b*qBlock; rest < qBlock {
+		if rest <= 0 {
+			return b, 0
+		}
+		word &= 1<<uint(rest) - 1
+	}
+	return b, word
 }
 
 // MaskedCandidateAppender extends CandidateAppender with
@@ -204,7 +227,7 @@ var (
 
 // CandidatesMaskedAppend implements MaskedCandidateAppender for the
 // deterministic radio map: the quantized kernel over masked blocks
-// when it can serve, the exact masked scan otherwise.
+// when it can serve, the exact scan over the mask otherwise.
 //
 //moloc:hotpath
 func (db *DB) CandidatesMaskedAppend(dst []Candidate, f Fingerprint, k int, q *Query) ([]Candidate, bool) {
@@ -212,10 +235,13 @@ func (db *DB) CandidatesMaskedAppend(dst []Candidate, f Fingerprint, k int, q *Q
 		return dst, false
 	}
 	mustSameLen(f, db.fps[0])
-	if out, ok := db.kNearestQuant(dst, f, k, q, true); ok {
+	if out, ok := db.kNearestQuant(dst, f, k, q, q); ok {
 		return out, true
 	}
-	return db.kNearestMaskedExact(dst, f, k, q), true
+	if k > q.count {
+		k = q.count
+	}
+	return db.kNearestScan(candBuf(dst, k), f, k, q), true
 }
 
 // KNearestQuantAppend is KNearestAppend through the quantized kernel
@@ -228,16 +254,16 @@ func (db *DB) KNearestQuantAppend(dst []Candidate, f Fingerprint, k int, q *Quer
 		return dst, false
 	}
 	mustSameLen(f, db.fps[0])
-	return db.kNearestQuant(dst, f, k, q, false)
+	return db.kNearestQuant(dst, f, k, q, nil)
 }
 
 // kNearestQuant runs the blocked quantized prefilter and the exact
-// rescore. With masked set it visits only the mask's blocks and lanes;
-// otherwise every block. See the file comment for the layout and the
+// rescore over the lanes of mask (every location when mask is nil),
+// with q's scratch. See the file comment for the layout and the
 // equivalence argument; the bound derivation is in DESIGN.md §13.
 //
 //moloc:hotpath
-func (db *DB) kNearestQuant(dst []Candidate, f Fingerprint, k int, q *Query, masked bool) ([]Candidate, bool) {
+func (db *DB) kNearestQuant(dst []Candidate, f Fingerprint, k int, q, mask *Query) ([]Candidate, bool) {
 	qm := db.quant
 	if qm == nil || q == nil || len(f) != qm.w {
 		return dst, false
@@ -277,19 +303,11 @@ func (db *DB) kNearestQuant(dst []Candidate, f Fingerprint, k int, q *Query, mas
 	wf := float64(qm.w)
 	w := qm.w
 
-	var blocks int
-	if masked {
-		q.sortTouched()
-		blocks = len(q.touched)
-	} else {
-		blocks = qm.nBlocks
-	}
-	m := 0
 	tau := math.Inf(1)
-	for bi := 0; bi < blocks; bi++ {
-		b := bi
-		if masked {
-			b = int(q.touched[bi])
+	for bi, nb := 0, scanBlocks(mask, qm.n); bi < nb; bi++ {
+		b, word := scanLanes(mask, bi, qm.n)
+		if word == 0 {
+			continue
 		}
 		// One AP dimension at a time: 64 int8 lanes, one cache line.
 		base := b * w * qBlock
@@ -304,170 +322,53 @@ func (db *DB) kNearestQuant(dst []Candidate, f Fingerprint, k int, q *Query, mas
 				acc[j] += d * d
 			}
 		}
-		// Select lanes: the mask word's set bits, or every lane up to n.
 		loc0 := b * qBlock
-		if masked {
-			for word := q.words[b]; word != 0; word &= word - 1 {
-				j := bits.TrailingZeros64(word)
-				sq := float64(acc[j])
-				rt := math.Sqrt(wf * sq)
-				if s2*(sq-2*rt) <= tau { // lower bound can still make top-k
-					short = append(short, int32(loc0+j))
-				}
-				ub := s2 * (sq + 2*rt + wf)
-				if m < k {
-					m++
-					ubTop = ubTop[:m]
-					i := m - 1
-					for i > 0 && ubTop[i-1] > ub {
-						ubTop[i] = ubTop[i-1]
-						i--
-					}
-					ubTop[i] = ub
-				} else if ub < ubTop[m-1] {
-					i := m - 1
-					for i > 0 && ubTop[i-1] > ub {
-						ubTop[i] = ubTop[i-1]
-						i--
-					}
-					ubTop[i] = ub
-				}
-				if m == k {
-					tau = ubTop[m-1]
-				}
+		for ; word != 0; word &= word - 1 {
+			j := bits.TrailingZeros64(word)
+			sq := float64(acc[j])
+			rt := math.Sqrt(wf * sq)
+			if s2*(sq-2*rt) <= tau { // lower bound can still make top-k
+				short = append(short, int32(loc0+j))
 			}
-		} else {
-			lim := qBlock
-			if qm.n-loc0 < lim {
-				lim = qm.n - loc0
-			}
-			for j := 0; j < lim; j++ {
-				sq := float64(acc[j])
-				rt := math.Sqrt(wf * sq)
-				if s2*(sq-2*rt) <= tau {
-					short = append(short, int32(loc0+j))
-				}
-				ub := s2 * (sq + 2*rt + wf)
-				if m < k {
-					m++
-					ubTop = ubTop[:m]
-					i := m - 1
-					for i > 0 && ubTop[i-1] > ub {
-						ubTop[i] = ubTop[i-1]
-						i--
-					}
-					ubTop[i] = ub
-				} else if ub < ubTop[m-1] {
-					i := m - 1
-					for i > 0 && ubTop[i-1] > ub {
-						ubTop[i] = ubTop[i-1]
-						i--
-					}
-					ubTop[i] = ub
-				}
-				if m == k {
-					tau = ubTop[m-1]
+			if ub := s2 * (sq + 2*rt + wf); len(ubTop) < k || ub < tau {
+				ubTop = selectUB(ubTop, k, ub)
+				if len(ubTop) == k {
+					tau = ubTop[k-1]
 				}
 			}
 		}
 	}
 	q.short, q.ub = short, ubTop[:0]
 
-	// Exact rescore of the shortlist: the same bounded selection as
-	// KNearestAppend over float64 reference rows, in ascending location
-	// order, so ties resolve identically to the exact full scan.
-	if cap(dst) < k {
-		dst = make([]Candidate, 0, k)
-	} else {
-		dst = dst[:0]
-	}
-	sel := 0
+	// Exact rescore of the shortlist with selectK, the insertion every
+	// exact scan shares, over float64 reference rows in ascending
+	// location order, so ties resolve identically to the exact full scan.
+	dst = candBuf(dst, k)
 	worst := math.Inf(1)
 	for _, li := range short {
-		row := db.flat[int(li)*w : int(li)*w+w]
-		var s float64
-		for a, v := range f {
-			dv := v - row[a]
-			s += dv * dv
+		if d := db.rowDist(f, int(li)); len(dst) < k || d < worst {
+			dst = selectK(dst, k, int(li)+1, d)
+			worst = dst[len(dst)-1].Dissim
 		}
-		d := math.Sqrt(s)
-		if sel == k && d >= worst {
-			continue
-		}
-		if sel < k {
-			sel++
-			dst = dst[:sel]
-		}
-		j := sel - 1
-		for j > 0 && dst[j-1].Dissim > d {
-			dst[j] = dst[j-1]
-			j--
-		}
-		dst[j] = Candidate{Loc: int(li) + 1, Dissim: d}
-		worst = dst[sel-1].Dissim
 	}
 	assignProbs(dst)
 	return dst, true
 }
 
-// kNearestMaskedExact is the masked scan without quantization: the
-// metric evaluated at every masked location, bounded selection as in
-// KNearestAppend. It serves non-Euclidean metrics and saturating
-// queries, and is the executable specification the quantized masked
-// path is tested against.
-//
-//moloc:hotpath
-func (db *DB) kNearestMaskedExact(dst []Candidate, f Fingerprint, k int, q *Query) []Candidate {
-	if k > q.count {
-		k = q.count
+// selectUB is selectK for the kernel's bounded top-k of distance upper
+// bounds: t (capacity at least k) is sorted ascending; the caller
+// tests len(t) < k || ub < t[k-1] before calling.
+func selectUB(t []float64, k int, ub float64) []float64 {
+	if len(t) < k {
+		t = t[:len(t)+1]
 	}
-	if cap(dst) < k {
-		dst = make([]Candidate, 0, k)
-	} else {
-		dst = dst[:0]
+	i := len(t) - 1
+	for i > 0 && t[i-1] > ub {
+		t[i] = t[i-1]
+		i--
 	}
-	_, euclid := db.metric.(Euclidean)
-	w := db.numAPs
-	q.sortTouched()
-	m := 0
-	worst := math.Inf(1)
-	for _, bw := range q.touched {
-		b := int(bw)
-		for word := q.words[b]; word != 0; word &= word - 1 {
-			i := b*qBlock + bits.TrailingZeros64(word)
-			if i >= len(db.fps) {
-				continue
-			}
-			var d float64
-			if euclid {
-				row := db.flat[i*w : i*w+w]
-				var s float64
-				for a, v := range f {
-					dv := v - row[a]
-					s += dv * dv
-				}
-				d = math.Sqrt(s)
-			} else {
-				d = db.metric.Distance(f, db.fps[i])
-			}
-			if m == k && d >= worst {
-				continue
-			}
-			if m < k {
-				m++
-				dst = dst[:m]
-			}
-			j := m - 1
-			for j > 0 && dst[j-1].Dissim > d {
-				dst[j] = dst[j-1]
-				j--
-			}
-			dst[j] = Candidate{Loc: i + 1, Dissim: d}
-			worst = dst[m-1].Dissim
-		}
-	}
-	assignProbs(dst)
-	return dst
+	t[i] = ub
+	return t
 }
 
 // CandidatesMaskedAppend implements MaskedCandidateAppender for the
@@ -482,38 +383,5 @@ func (g *GaussianDB) CandidatesMaskedAppend(dst []Candidate, f Fingerprint, k in
 	if k > q.count {
 		k = q.count
 	}
-	if cap(dst) < k {
-		dst = make([]Candidate, 0, k)
-	} else {
-		dst = dst[:0]
-	}
-	q.sortTouched()
-	m := 0
-	worst := math.Inf(1)
-	for _, bw := range q.touched {
-		b := int(bw)
-		for word := q.words[b]; word != 0; word &= word - 1 {
-			i := b*qBlock + bits.TrailingZeros64(word)
-			if i >= len(g.mean) {
-				continue
-			}
-			d := -g.LogLikelihood(i+1, f)
-			if m == k && d >= worst {
-				continue
-			}
-			if m < k {
-				m++
-				dst = dst[:m]
-			}
-			j := m - 1
-			for j > 0 && dst[j-1].Dissim > d {
-				dst[j] = dst[j-1]
-				j--
-			}
-			dst[j] = Candidate{Loc: i + 1, Dissim: d}
-			worst = dst[m-1].Dissim
-		}
-	}
-	softmaxProbs(dst)
-	return dst, true
+	return g.candidatesScan(candBuf(dst, k), f, k, q), true
 }

@@ -232,10 +232,11 @@ func TestMaskedZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzQuantVsExact cross-checks the quantized kernel against the exact
-// reference on fuzz-chosen maps, scans, and masks: whenever the
-// quantized path serves, its candidate set — locations, exact
-// dissimilarities, probabilities, order — must equal the reference's.
+// FuzzQuantVsExact cross-checks the quantized kernel and the exact
+// selection scan against the sort-based reference on fuzz-chosen maps,
+// scans, and masks: the exact scan always, and the quantized path
+// whenever it serves, must return the reference's candidate set —
+// locations, exact dissimilarities, probabilities, order.
 func FuzzQuantVsExact(f *testing.F) {
 	f.Add(int64(1), uint16(28), uint8(6), uint8(8), 0.0, uint8(0))
 	f.Add(int64(2), uint16(130), uint8(3), uint8(4), -45.0, uint8(9))
@@ -271,6 +272,9 @@ func FuzzQuantVsExact(f *testing.F) {
 		q := NewQuery(n)
 
 		want := db.KNearestRef(fp, k)
+		if got := db.KNearestAppend(nil, fp, k); !candidatesEqual(got, want) {
+			t.Fatalf("n=%d w=%d k=%d off=%g: exact scan = %v, reference %v", n, w, k, off, got, want)
+		}
 		got, ok := db.KNearestQuantAppend(nil, fp, k, q)
 		if ok && !candidatesEqual(got, want) {
 			t.Fatalf("n=%d w=%d k=%d off=%g: quantized = %v, reference %v", n, w, k, off, got, want)

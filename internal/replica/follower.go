@@ -49,8 +49,6 @@ type FollowerOptions struct {
 	Window uint32
 	// RedialWait paces reconnection attempts (default 500ms).
 	RedialWait time.Duration
-	// MaxPayload caps decoded frame payloads (0 = wire default).
-	MaxPayload int
 	// Now is the clock seam; nil selects time.Now.
 	Now func() time.Time
 }
@@ -191,7 +189,7 @@ func (f *Follower) serveConn(conn net.Conn, done <-chan struct{}, resumed bool) 
 	}()
 
 	wr := wire.NewWriter(conn)
-	rd := wire.NewReader(conn, f.o.MaxPayload)
+	rd := wire.NewReader(conn, wire.DefaultMaxPayload)
 	last := f.ap.LastApplied()
 	wr.WriteFrame(wire.FrameReplHello, 0, wire.AppendReplHello(nil, last, f.o.Window))
 	if err := wr.Flush(); err != nil {

@@ -61,34 +61,35 @@ type Source interface {
 	NewWALReader() *wal.Reader
 }
 
+// Fixed limits of a replication connection.
+const (
+	bootstrapChunkBytes = 64 << 10 // checkpoint bootstrap chunk size
+	defaultWindow       = 256      // unacked records in flight when the hello advertises no window
+)
+
 // LeaderOptions tune one replication connection; the zero value works.
 type LeaderOptions struct {
-	// ChunkBytes sizes checkpoint bootstrap chunks (default 64 KiB).
-	ChunkBytes int
 	// Heartbeat is the Publish cadence when idle (default 1s).
 	Heartbeat time.Duration
 	// Poll is the WAL tail re-check interval when caught up (default
 	// 25ms).
 	Poll time.Duration
-	// Window bounds unacked in-flight records when the follower's hello
-	// advertises none (default 256).
-	Window int
 	// Now is the clock seam; nil selects time.Now.
 	Now func() time.Time
+	// chunkBytes overrides bootstrapChunkBytes for in-package tests that
+	// tear a bootstrap at every chunk boundary.
+	chunkBytes int
 }
 
 func (o LeaderOptions) withDefaults() LeaderOptions {
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 64 << 10
+	if o.chunkBytes <= 0 {
+		o.chunkBytes = bootstrapChunkBytes
 	}
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = time.Second
 	}
 	if o.Poll <= 0 {
 		o.Poll = 25 * time.Millisecond
-	}
-	if o.Window <= 0 {
-		o.Window = 256
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -188,7 +189,7 @@ func (ld *Leader) Serve(conn net.Conn, rd *wire.Reader, lastSeq uint64, window u
 		return fmt.Errorf("replica: hello lastSeq %d >= leader next %d: %w", lastSeq, ld.src.NextSeq(), ErrFollowerAhead)
 	}
 
-	st := newAckState(lastSeq, ld.o.Window)
+	st := newAckState(lastSeq, defaultWindow)
 	if window > 0 {
 		st.window = int(window)
 	}
@@ -366,7 +367,7 @@ func (ld *Leader) bootstrap(wr *wire.Writer, cursor uint64) (uint64, error) {
 	}
 	var idx uint64
 	for {
-		chunk, last := snap.Next(ld.o.ChunkBytes)
+		chunk, last := snap.Next(ld.o.chunkBytes)
 		wr.WriteFrame(wire.FrameCheckpointChunk, idx, wire.AppendCheckpointChunk(nil, snap.LastSeq, last, chunk))
 		idx++
 		if err := wr.Flush(); err != nil {

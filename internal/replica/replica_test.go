@@ -404,7 +404,7 @@ func TestTornTransferNeverInstallsPartial(t *testing.T) {
 		t.Fatal("nothing truncated; sweep would not exercise bootstrap")
 	}
 	o := fastLeaderOpts()
-	o.ChunkBytes = 8
+	o.chunkBytes = 8
 	addr := startLeader(t, src, o)
 
 	// The full transfer prefix (publish + 6 chunk frames + 2 segments)

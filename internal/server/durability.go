@@ -284,7 +284,7 @@ func (s *Server) checkpointStateLocked(rt *retrainer) error {
 			s.met.walAppendErrors.Inc()
 		}
 	}
-	if err := checkpoint.Prune(s.opts.FS, s.store.ckptDir, s.opts.CheckpointRetain); err != nil {
+	if err := checkpoint.Prune(s.opts.FS, s.store.ckptDir, checkpointRetain); err != nil {
 		s.met.checkpointErrors.Inc()
 	}
 	return nil

@@ -38,15 +38,9 @@ const (
 	// often queued observations are folded into the motion database and
 	// a fresh compiled view is published (retrain.go).
 	DefaultRetrainInterval = 30 * time.Second
-	// DefaultMaxObsBatch caps observations per ingest request.
-	DefaultMaxObsBatch = 4096
 	// DefaultObsQueueCap bounds observations buffered between retrains;
 	// ingest answers 429 beyond it.
 	DefaultObsQueueCap = 1 << 16
-	// DefaultCheckpointRetain is how many motion-DB checkpoints survive
-	// pruning: the newest plus one fallback in case the newest is found
-	// corrupt at the next boot.
-	DefaultCheckpointRetain = 2
 	// DefaultStreamWindow caps the credit window a binary stream
 	// connection is advertised (stream.go): at most this many
 	// unacknowledged frames may be in flight per stream.
@@ -62,6 +56,12 @@ const (
 	// — before the degradation ladder enters follower-stale
 	// (replication.go) and fixes fall back to the fingerprint path.
 	DefaultReplLagMax = 10 * time.Second
+)
+
+// Fixed serving limits that no option overrides.
+const (
+	maxObsBatch      = 4096 // observations per ingest request or stream frame
+	checkpointRetain = 2    // checkpoints pruning keeps: the newest plus one fallback
 )
 
 // Options are the serving limits of a Server. The zero value of each
@@ -114,11 +114,9 @@ type Options struct {
 	// queued POST /v1/observations batches are folded into the motion
 	// database and the dirty edges recompiled this often.
 	RetrainInterval time.Duration
-	// MaxObsBatch bounds observations per ingest request; larger batches
-	// answer 413.
-	MaxObsBatch int
 	// ObsQueueCap bounds observations buffered awaiting retraining; a
-	// full queue answers 429 until a retrain drains it.
+	// full queue answers 429 until a retrain drains it, and a batch
+	// larger than the whole queue answers 413.
 	ObsQueueCap int
 	// StreamWindow caps the credit window advertised to binary stream
 	// clients (stream.go): the most unacknowledged observation frames a
@@ -146,8 +144,6 @@ type Options struct {
 	FsyncInterval time.Duration
 	// WALSegmentBytes overrides the WAL segment size (tests shrink it).
 	WALSegmentBytes int64
-	// CheckpointRetain is how many checkpoints pruning keeps.
-	CheckpointRetain int
 	// FollowAddr, when set, boots the server as a read replica
 	// (replication.go): a replication client follows the leader's stream
 	// listener at this address, replaying its WAL into the local one.
@@ -157,9 +153,6 @@ type Options struct {
 	// ReplLagMax is the staleness window for the follower-stale rung;
 	// zero selects DefaultReplLagMax.
 	ReplLagMax time.Duration
-	// ReplChunkBytes sizes the checkpoint chunks served to bootstrapping
-	// followers; zero selects the replica package default.
-	ReplChunkBytes int
 	// ReplDial overrides the follower's leader dialer — tests inject
 	// in-process pipes or fault-wrapped connections. With ReplDial set,
 	// FollowAddr may be any non-empty label.
@@ -197,17 +190,11 @@ func (o Options) withDefaults() Options {
 	if o.RetrainInterval <= 0 {
 		o.RetrainInterval = DefaultRetrainInterval
 	}
-	if o.MaxObsBatch <= 0 {
-		o.MaxObsBatch = DefaultMaxObsBatch
-	}
 	if o.ObsQueueCap <= 0 {
 		o.ObsQueueCap = DefaultObsQueueCap
 	}
 	if o.StreamWindow <= 0 {
 		o.StreamWindow = DefaultStreamWindow
-	}
-	if o.CheckpointRetain <= 0 {
-		o.CheckpointRetain = DefaultCheckpointRetain
 	}
 	if o.ReplLagMax <= 0 {
 		o.ReplLagMax = DefaultReplLagMax

@@ -85,10 +85,7 @@ func (s *Server) serveRepl(conn net.Conn, rd *wire.Reader, sc *streamConn, fr wi
 		return
 	}
 	s.met.replConns.Inc()
-	ld := replica.NewLeader(replSource{s: s}, replica.LeaderOptions{
-		ChunkBytes: s.opts.ReplChunkBytes,
-		Now:        s.opts.Now,
-	})
+	ld := replica.NewLeader(replSource{s: s}, replica.LeaderOptions{Now: s.opts.Now})
 	if err := ld.Serve(conn, rd, lastSeq, window, s.done); err != nil {
 		s.met.streamErrors.Inc()
 	}
@@ -131,7 +128,7 @@ func (ra *replApplier) InstallSnapshot(ckptSeq uint64, payload []byte) error {
 		return fmt.Errorf("server: persist replicated checkpoint: %w", err)
 	}
 	s.met.checkpointWrites.Inc()
-	if err := checkpoint.Prune(s.opts.FS, s.store.ckptDir, s.opts.CheckpointRetain); err != nil {
+	if err := checkpoint.Prune(s.opts.FS, s.store.ckptDir, checkpointRetain); err != nil {
 		s.met.checkpointErrors.Inc()
 	}
 	rt := s.retrain

@@ -333,10 +333,10 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "no observations")
 		return
 	}
-	if len(req.Observations) > s.opts.MaxObsBatch {
+	if len(req.Observations) > maxObsBatch {
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d observations exceeds the %d cap; split the upload",
-				len(req.Observations), s.opts.MaxObsBatch))
+				len(req.Observations), maxObsBatch))
 		return
 	}
 	n := s.plan.NumLocs()
@@ -356,10 +356,14 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		payload = sc.payload
 	}
 	seq, err := s.ingest(payload, req.Observations, false)
-	if errors.Is(err, errQueueFull) {
+	switch {
+	case errors.Is(err, errQueueFull):
 		s.met.observationsDropped.Add(int64(len(req.Observations)))
 		httpError(w, http.StatusTooManyRequests,
 			"observation queue full; retry after the next retrain")
+		return
+	case errors.Is(err, errBatchTooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, err.Error())
 		return
 	}
 	if err == nil {
@@ -380,12 +384,15 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// errQueueFull and errShuttingDown are ingest's refusals: the pending
-// queue has no room for the batch, or the server closed while a
-// blocking ingest waited for room.
+// errQueueFull, errBatchTooLarge and errShuttingDown are ingest's
+// refusals: the pending queue has no room for the batch now, the batch
+// holds more observations than the whole queue (so no drain can ever
+// make room), or the server closed while a blocking ingest waited for
+// room.
 var (
-	errQueueFull    = errors.New("observation queue full")
-	errShuttingDown = errors.New("server shutting down")
+	errQueueFull     = errors.New("observation queue full")
+	errBatchTooLarge = errors.New("observation batch larger than the queue")
+	errShuttingDown  = errors.New("server shutting down")
 )
 
 // ingest is the one durable-ingest path under JSON POST
@@ -393,11 +400,16 @@ var (
 // replicated records: it enqueues the batch (retrainer.append — WAL
 // append without fsync, then the pending queue, under one lock) and
 // returns the WAL sequence the caller must pass to waitDurable before
-// it acks (0 with durability off). A full queue fails with
+// it acks (0 with durability off). A batch larger than the queue
+// fails at once with errBatchTooLarge. A full queue fails with
 // errQueueFull, or with block set waits for the next drain (a retrain
 // or a checkpoint restore) and retries, until the server closes. A WAL
 // failure degrades the ladder.
 func (s *Server) ingest(payload []byte, obs []motiondb.Observation, block bool) (uint64, error) {
+	if len(obs) > s.retrain.queueCap {
+		return 0, fmt.Errorf("%w: %d observations, queue holds %d; split the batch",
+			errBatchTooLarge, len(obs), s.retrain.queueCap)
+	}
 	for {
 		seq, full, err := s.retrain.append(s.store, payload, obs)
 		switch {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"moloc/internal/floorplan"
@@ -81,7 +82,6 @@ func TestObservationsEndpoint(t *testing.T) {
 
 func TestObservationsLimits(t *testing.T) {
 	srv, sys := testServer(t)
-	srv.opts.MaxObsBatch = 2
 	srv.retrain.queueCap = 3
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -90,7 +90,9 @@ func TestObservationsLimits(t *testing.T) {
 	three := obsNear(sys.Plan, pair[0], pair[1], 3)
 
 	// Beyond the batch cap: 413, nothing queued.
-	if resp, body := postJSON(t, ts, "/v1/observations", obsReq{Observations: three}); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	over := obsNear(sys.Plan, pair[0], pair[1], maxObsBatch+1)
+	if resp, body := postJSON(t, ts, "/v1/observations", obsReq{Observations: over}); resp.StatusCode != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(string(body), "exceeds the 4096 cap") {
 		t.Errorf("oversized batch: status %d body %s", resp.StatusCode, body)
 	}
 	if srv.retrain.pendingLen() != 0 {

@@ -233,7 +233,7 @@ func (sp *streamPlane) closeAll() {
 // acceptStreamBatch, which is what the window is trying to prevent
 // getting deep).
 func (s *Server) streamWindow() uint32 {
-	w := (s.opts.ObsQueueCap - s.retrain.pendingLen()) / s.opts.MaxObsBatch
+	w := (s.opts.ObsQueueCap - s.retrain.pendingLen()) / maxObsBatch
 	if w < 1 {
 		w = 1
 	}
@@ -451,8 +451,8 @@ func (s *Server) acceptStreamBatch(st *streamSession, fr wire.Frame, scratch *st
 		return 0, fmt.Errorf("observation batch %d: %w", fr.Seq, err)
 	}
 	scratch.obs = obs
-	if len(obs) > s.opts.MaxObsBatch {
-		return 0, fmt.Errorf("batch of %d observations exceeds the %d cap", len(obs), s.opts.MaxObsBatch)
+	if len(obs) > maxObsBatch {
+		return 0, fmt.Errorf("batch of %d observations exceeds the %d cap", len(obs), maxObsBatch)
 	}
 	valid, dropped := keepValid(obs, s.plan.NumLocs())
 	s.met.observationsDropped.Add(dropped)

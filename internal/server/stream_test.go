@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -439,4 +440,68 @@ func TestStreamIngestWakesOnDrain(t *testing.T) {
 			t.Fatalf("ack %d after Close; blocked batch 2 must end unacked", r.seq)
 		}
 	}
+}
+
+// TestIngestRefusesBatchLargerThanQueue: a batch holding more
+// observations than the whole retrain queue can never fit, however
+// often the queue drains, so every ingest path refuses it at once
+// instead of waiting: a JSON POST answers 413 (not a 429 no retry can
+// clear), a stream ObsBatch frame gets an Error frame with no drain,
+// and a follower whose queue is smaller than the leader's batch reports
+// the refusal in its replication status.
+func TestIngestRefusesBatchLargerThanQueue(t *testing.T) {
+	const queueCap = 4
+	sys := buildSys(t)
+	srv := durableServer(t, sys, Options{ObsQueueCap: queueCap, RetrainInterval: time.Hour})
+	defer srv.Close()
+	addr := startStream(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	pair := firstPair(t, sys.MDB)
+	six := obsNear(sys.Plan, pair[0], pair[1], queueCap+2)
+
+	postObs(t, ts, six, http.StatusRequestEntityTooLarge)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd, wr := wire.NewReader(conn, 0), wire.NewWriter(conn)
+	wr.WriteFrame(wire.FrameHello, 0, wire.AppendHello(nil, "oversize", ""))
+	wr.WriteFrame(wire.FrameObsBatch, 1, wire.AppendObservations(nil, six))
+	if err := wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if fr, err := rd.ReadFrame(); err != nil || fr.Type != wire.FrameHelloAck {
+		t.Fatalf("hello-ack: %v type %d", err, fr.Type)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := rd.ReadFrame()
+	if err != nil {
+		t.Fatalf("no reply within 2s to a batch larger than the queue: %v", err)
+	}
+	if fr.Type != wire.FrameError || fr.Seq != 1 || !strings.Contains(string(fr.Payload), "larger than the queue") {
+		t.Fatalf("reply type %d seq %d %q, want an error frame for seq 1 naming the queue", fr.Type, fr.Seq, fr.Payload)
+	}
+	if got := srv.retrain.pendingLen(); got != 0 {
+		t.Fatalf("pending = %d after two refused batches, want 0", got)
+	}
+
+	// Replication: the leader's queue takes the batch, the follower's
+	// cannot; Apply's refusal surfaces as the follower's LastErr.
+	leader := durableServer(t, sys, Options{DataDir: t.TempDir()})
+	defer leader.Close()
+	laddr := startStream(t, leader)
+	fol := durableServer(t, sys, Options{DataDir: t.TempDir(), ObsQueueCap: queueCap,
+		FollowAddr: "leader", ReplDial: func() (net.Conn, error) { return net.Dial("tcp", laddr) }})
+	defer fol.Close()
+	fol.Start()
+	streamFrames(t, laddr, "oversize-leader", six, 1)
+	waitUntil(t, "follower refusal", func() bool {
+		err := fol.ReplicationStatus().LastErr
+		return err != nil && strings.Contains(err.Error(), "larger than the queue")
+	})
 }

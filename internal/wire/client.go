@@ -27,8 +27,6 @@ type ClientOptions struct {
 	RedialAttempts int
 	// RedialWait is the pause between reconnection tries.
 	RedialWait time.Duration
-	// MaxPayload caps decoded frame payloads (0 = DefaultMaxPayload).
-	MaxPayload int
 	// MaxPending bounds the retransmit buffer: the most sent-but-unacked
 	// observation frames the client retains for resend-on-resume, even
 	// when the server advertises a larger credit window (0 =
@@ -150,7 +148,7 @@ func (c *Client) redialLocked() error {
 		return err
 	}
 	wr := NewWriter(conn)
-	rd := NewReader(conn, c.opts.MaxPayload)
+	rd := NewReader(conn, DefaultMaxPayload)
 	wr.WriteFrame(FrameHello, 0, AppendHello(nil, c.streamID, c.opts.SessionID))
 	if err := wr.Flush(); err != nil {
 		//lint:ignore errdrop the dial already failed; the close error cannot add anything
