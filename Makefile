@@ -17,8 +17,10 @@ vet:
 # (DESIGN.md §8). The extra go vet pass runs the
 # unsafeptr and copylocks analyzers by name: naming analyzers disables
 # the rest, so this is an explicit, targeted gate on unsafe.Pointer
-# conversions and by-value lock copies on top of the full `make vet`.
+# conversions and by-value lock copies (typed atomics included) on top
+# of the full `make vet`. Any file gofmt would rewrite fails the target.
 lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 	$(GO) vet -unsafeptr -copylocks ./...
 	$(GO) run ./cmd/moloclint ./...
 

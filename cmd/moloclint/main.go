@@ -4,21 +4,23 @@
 // invariants the compiler cannot: bearing arithmetic through
 // internal/geom, randomness through internal/stats, mutex-guarded
 // struct fields, no silently dropped errors, allocation-free
-// //moloc:hotpath functions, and atomic-only access to //moloc:snapshot
-// RCU fields.
+// //moloc:hotpath functions, atomic-only access to //moloc:snapshot
+// RCU fields, typed atomics only, reused scratch not retained, acks
+// only after durability, and joinable goroutines (-list prints the
+// suite).
 //
 // Usage:
 //
-//	moloclint [-only degnorm,randsrc] [-list] [-json|-sarif] [packages]
+//	moloclint [-only degnorm,randsrc] [-list] [-sarif] [packages]
 //
 // Package arguments are directory paths relative to the module root;
 // "./..." (or no argument) analyzes the whole module. Suppress a
 // finding with a `//lint:ignore <analyzer> <reason>` comment on the
 // flagged line or the line above it.
 //
-// -json and -sarif switch the stdout format from file:line:col text to
-// a JSON array or a SARIF 2.1.0 log (what GitHub code scanning
-// ingests); the exit status is 1 on findings in every format.
+// -sarif switches the stdout format from file:line:col text to a SARIF
+// 2.1.0 log (what GitHub code scanning ingests); the exit status is 1
+// on findings in either format.
 package main
 
 import (
@@ -34,17 +36,12 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
 	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log instead of text")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: moloclint [-only names] [-list] [-json|-sarif] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: moloclint [-only names] [-list] [-sarif] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "moloclint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, a := range lint.Analyzers() {
@@ -81,12 +78,12 @@ func main() {
 	}
 	diags := lint.RunAll(pkgs, analyzers)
 
-	switch {
-	case *jsonOut:
-		err = writeJSON(os.Stdout, root, diags)
-	case *sarifOut:
-		err = writeSARIF(os.Stdout, root, analyzers, diags)
-	default:
+	if *sarifOut {
+		if err := writeSARIF(os.Stdout, root, analyzers, diags); err != nil {
+			fmt.Fprintln(os.Stderr, "moloclint:", err)
+			os.Exit(2)
+		}
+	} else {
 		for _, d := range diags {
 			pos := d.Pos
 			if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
@@ -94,10 +91,6 @@ func main() {
 			}
 			fmt.Printf("%s: %s: %s\n", pos, d.Analyzer, d.Message)
 		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "moloclint:", err)
-		os.Exit(2)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "moloclint: %d finding(s)\n", len(diags))

@@ -115,33 +115,6 @@ func writeSARIF(w io.Writer, root string, analyzers []*lint.Analyzer, diags []li
 	return enc.Encode(sarifReport(root, analyzers, diags))
 }
 
-// jsonFinding is the -json output row, positioned relative to the
-// module root with forward slashes so output does not depend on the
-// invocation directory.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func writeJSON(w io.Writer, root string, diags []lint.Diagnostic) error {
-	rows := []jsonFinding{}
-	for _, d := range diags {
-		rows = append(rows, jsonFinding{
-			File:     moduleRelative(root, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(rows)
-}
-
 // moduleRelative renders a source path relative to the module root in
 // forward-slash form, falling back to the path unchanged when it lies
 // outside the root.

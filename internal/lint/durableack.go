@@ -10,11 +10,11 @@ package lint
 //     fact, anchored at (*wire.Writer).WriteAck) on the stream side —
 //     must be preceded by a call that can reach a WAL append (the
 //     AppendsWAL fact) and by a call that can reach a durability wait
-//     (the WaitsDurable fact: (*GroupCommitter).WaitDurable or the
-//     syncing (*Log).Append). Both facts are transitive, so an ingest
-//     wrapper three calls above the WAL counts as the guard. The wait
-//     matters because AppendNoSync leaves its record in the page cache
-//     until the group committer's fsync covers it.
+//     (the WaitsDurable fact: (*GroupCommitter).WaitDurable). Both
+//     facts are transitive, so an ingest wrapper three calls above the
+//     WAL counts as the guard. The wait matters because AppendNoSync,
+//     the log's only append, leaves its record in the page cache until
+//     the group committer's fsync covers it.
 //  2. In packages under internal/wal and internal/checkpoint, a Rename
 //     call (the atomic publish of a data file) must be preceded by a
 //     Sync call in the same function — rename-before-fsync can publish
@@ -102,7 +102,7 @@ func checkDurableHandler(pass *Pass, fd *ast.FuncDecl) {
 				kind+" in a //moloc:durable handler with no preceding WAL append")
 		case !waited:
 			pass.Reportf(call.Pos(),
-				kind+" in a //moloc:durable handler with no preceding durability wait (WaitDurable or a syncing Append)")
+				kind+" in a //moloc:durable handler with no preceding durability wait (WaitDurable)")
 		}
 		return true
 	})

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Hotpath flags allocation- and hashing-prone constructs inside
@@ -42,26 +41,12 @@ func runHotpath(pass *Pass) {
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpathFunc(fd) {
+			if !ok || fd.Body == nil || !hasDirective(fd.Doc, "//moloc:hotpath") {
 				continue
 			}
 			checkHotpathBody(pass, fd.Body)
 		}
 	}
-}
-
-// isHotpathFunc reports whether the function's doc comment carries the
-// //moloc:hotpath directive.
-func isHotpathFunc(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == "//moloc:hotpath" {
-			return true
-		}
-	}
-	return false
 }
 
 func checkHotpathBody(pass *Pass, body *ast.BlockStmt) {

@@ -25,6 +25,13 @@
 //     atomic.Pointer Load/Store methods; direct dereferences and value
 //     copies bypass the memory-ordering guarantees of the snapshot
 //     swap.
+//   - atomicmix: shared cells are typed atomics, so non-test code never
+//     calls sync/atomic's function API (atomic.AddInt64 and friends),
+//     the only way to mix atomic and plain access to one cell.
+//   - bufalias, durableack, waitleak: call-chain invariants over the
+//     engine's index (engine.go) — reused scratch is not retained, acks
+//     follow AppendNoSync and WaitDurable, goroutines are joinable.
+//   - staleignore: a //lint:ignore comment must suppress something.
 //
 // The suite is built directly on the standard library's go/parser and
 // go/types (no golang.org/x/tools dependency): Load type-checks every
@@ -44,6 +51,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -83,11 +91,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Pkg is the import path of the package whose analysis produced the
-	// finding. Because analyzers only consult facts from the analyzed
-	// package and its transitive dependencies, a package's findings are
-	// a pure function of its own sources plus its dependency closure.
-	Pkg string
 }
 
 func (d Diagnostic) String() string {
@@ -107,10 +110,8 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	// Index is the module-wide cross-function fact base (engine.go).
-	// Analyzers may query any function's summary but must only report
-	// positions inside this pass's package, and must restrict
-	// cross-package fact lookups to Index.visible paths — both are what
-	// keep each finding attributed to the package that produced it.
+	// Analyzers may query any function's summary but only report
+	// positions inside this pass's package.
 	Index *Index
 
 	diags []Diagnostic
@@ -172,29 +173,17 @@ func (sup *suppressions) match(analyzer string, pos token.Position) bool {
 	return hit
 }
 
-// suppressed reports whether a finding by the pass's analyzer at pos is
-// covered by a //lint:ignore comment.
-func (p *Pass) suppressed(pos token.Position) bool {
-	return p.sup.match(p.Analyzer.Name, pos)
-}
-
 // Reportf records a finding at pos unless a //lint:ignore comment
 // suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.reportAt(p.Fset.Position(pos), format, args...)
-}
-
-// reportAt is Reportf for an already-resolved position (the engine's
-// field summaries store positions, not token.Pos).
-func (p *Pass) reportAt(position token.Position, format string, args ...interface{}) {
-	if p.suppressed(position) {
+	position := p.Fset.Position(pos)
+	if p.sup.match(p.Analyzer.Name, position) {
 		return
 	}
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Pkg:      p.Path,
 	})
 }
 
@@ -228,18 +217,6 @@ func pkgHasSegments(path, want string) bool {
 	return false
 }
 
-// Run executes the analyzer over one loaded package and returns its
-// unsuppressed diagnostics sorted by position. The cross-function index
-// covers only this package, so module-wide facts (a WAL append behind a
-// helper in another package) are invisible — drivers use RunAll.
-func Run(a *Analyzer, pkg *Package) []Diagnostic {
-	ix := BuildIndex([]*Package{pkg})
-	sup := buildSuppressions(pkg.Fset, pkg.Files)
-	diags := runOne(a, pkg, ix, sup)
-	sortDiagnostics(diags)
-	return diags
-}
-
 // runOne executes one analyzer over one package against a shared index
 // and suppression store.
 func runOne(a *Analyzer, pkg *Package, ix *Index, sup *suppressions) []Diagnostic {
@@ -264,24 +241,17 @@ func runOne(a *Analyzer, pkg *Package, ix *Index, sup *suppressions) []Diagnosti
 // suppressed nothing.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	ix := BuildIndex(pkgs)
+	sweep := slices.Contains(analyzers, StaleIgnore)
 	var all []Diagnostic
-	stores := make(map[*Package]*suppressions, len(pkgs))
 	for _, pkg := range pkgs {
 		sup := buildSuppressions(pkg.Fset, pkg.Files)
-		stores[pkg] = sup
 		for _, a := range analyzers {
-			if a == StaleIgnore {
-				continue // runs as the sweep below, after every analyzer
+			if a != StaleIgnore { // runs as the sweep below, after every analyzer
+				all = append(all, runOne(a, pkg, ix, sup)...)
 			}
-			all = append(all, runOne(a, pkg, ix, sup)...)
 		}
-	}
-	for _, a := range analyzers {
-		if a == StaleIgnore {
-			for _, pkg := range pkgs {
-				all = append(all, staleSweep(pkg, stores[pkg], analyzers)...)
-			}
-			break
+		if sweep {
+			all = append(all, staleSweep(sup, analyzers)...)
 		}
 	}
 	sortDiagnostics(all)

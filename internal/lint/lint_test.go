@@ -147,9 +147,9 @@ func TestAnalyzerRegistry(t *testing.T) {
 
 // TestIndexTransitiveFacts pins the engine's fixed-point propagation
 // over the static call graph, using the fixture trees as input: the
-// durableack handler reaches the WAL only through its enqueue wrapper,
-// and the waitleak loop carries its Done and channel-blocking facts up
-// to every caller.
+// durableack handler reaches AppendNoSync and WaitDurable only through
+// its enqueue wrapper, and the waitleak loop carries its Done and
+// channel-blocking facts up to every caller.
 func TestIndexTransitiveFacts(t *testing.T) {
 	factsOf := func(ix *Index, name string) *FuncFacts {
 		t.Helper()
@@ -167,14 +167,23 @@ func TestIndexTransitiveFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := BuildIndex(pkgs)
-	if !factsOf(ix, "Append").AppendsWAL {
-		t.Error("(*wal.Log).Append itself must carry AppendsWAL")
+	if !factsOf(ix, "AppendNoSync").AppendsWAL {
+		t.Error("(*wal.Log).AppendNoSync itself must carry AppendsWAL")
+	}
+	if factsOf(ix, "AppendNoSync").WaitsDurable {
+		t.Error("(*wal.Log).AppendNoSync is no durability wait")
+	}
+	if !factsOf(ix, "WaitDurable").WaitsDurable {
+		t.Error("(*wal.GroupCommitter).WaitDurable itself must carry WaitsDurable")
 	}
 	if !factsOf(ix, "enqueue").AppendsWAL {
-		t.Error("enqueue calls Append directly; AppendsWAL must propagate")
+		t.Error("enqueue calls AppendNoSync directly; AppendsWAL must propagate")
 	}
 	if !factsOf(ix, "handleGood").AppendsWAL {
-		t.Error("handleGood reaches Append through enqueue; AppendsWAL must be transitive")
+		t.Error("handleGood reaches AppendNoSync through enqueue; AppendsWAL must be transitive")
+	}
+	if !factsOf(ix, "handleGood").WaitsDurable {
+		t.Error("handleGood reaches WaitDurable through enqueue; WaitsDurable must be transitive")
 	}
 	if factsOf(ix, "saveGood").AppendsWAL {
 		t.Error("saveGood never reaches a WAL append")
@@ -198,7 +207,7 @@ func TestIndexTransitiveFacts(t *testing.T) {
 		t.Error("enqueueStream only calls AppendNoSync; that is no durability wait")
 	}
 	if !factsOf(ix, "enqueue").WaitsDurable {
-		t.Error("enqueue calls the syncing Append; WaitsDurable must be set")
+		t.Error("enqueue calls WaitDurable directly; WaitsDurable must propagate")
 	}
 	if !factsOf(ix, "waitDurable").WaitsDurable {
 		t.Error("waitDurable calls WaitDurable directly; WaitsDurable must propagate")

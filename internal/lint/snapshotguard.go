@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // SnapshotGuard restricts struct fields annotated with a
@@ -69,7 +68,7 @@ func snapshotFields(pass *Pass) map[types.Object]bool {
 				return true
 			}
 			for _, field := range st.Fields.List {
-				if !hasSnapshotDirective(field) {
+				if !fieldDirective(field, "//moloc:snapshot") {
 					continue
 				}
 				for _, name := range field.Names {
@@ -89,22 +88,6 @@ func snapshotFields(pass *Pass) map[types.Object]bool {
 		})
 	}
 	return fields
-}
-
-// hasSnapshotDirective reports whether the field's doc or line comment
-// carries the //moloc:snapshot directive.
-func hasSnapshotDirective(field *ast.Field) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if strings.TrimSpace(c.Text) == "//moloc:snapshot" {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // isAtomicPointer reports whether t is sync/atomic.Pointer[T] or a

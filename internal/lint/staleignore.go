@@ -34,7 +34,7 @@ var StaleIgnore = &Analyzer{
 
 // staleSweep reports the unused suppressions of one package after the
 // whole suite has run over it.
-func staleSweep(pkg *Package, sup *suppressions, analyzers []*Analyzer) []Diagnostic {
+func staleSweep(sup *suppressions, analyzers []*Analyzer) []Diagnostic {
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true
@@ -45,7 +45,6 @@ func staleSweep(pkg *Package, sup *suppressions, analyzers []*Analyzer) []Diagno
 			Pos:      s.pos,
 			Analyzer: StaleIgnore.Name,
 			Message:  "//lint:ignore " + s.analyzer + " suppresses nothing; remove the stale comment",
-			Pkg:      pkg.Path,
 		})
 	}
 	for _, byFile := range sup.byFile {

@@ -1,11 +1,13 @@
-// Fixture dependency package: Gauge.N is only ever accessed plainly
-// here. The mix happens in the importing package (app), which is where
-// the finding must be reported — a dependency cannot be blamed for an
-// importer it cannot see.
+// Fixture dependency package: Gauge.N is a plain cell, accessed
+// plainly here and through the function API in the importing package
+// (app), where the call is reported. Hits is the typed shape.
 package lib
 
+import "sync/atomic"
+
 type Gauge struct {
-	N int64
+	N    int64
+	Hits atomic.Int64
 }
 
 func (g *Gauge) Bump() {

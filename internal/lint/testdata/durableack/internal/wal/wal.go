@@ -1,22 +1,16 @@
-// Fixture write-ahead log: the engine recognizes (*Log).Append,
-// (*Log).AppendNoSync and (*GroupCommitter).WaitDurable in any package
-// under internal/wal as the durability anchors, so the fixture models
-// the real one's shape.
+// Fixture write-ahead log: the engine recognizes (*Log).AppendNoSync
+// and (*GroupCommitter).WaitDurable in any package under internal/wal
+// as the durability anchors, so the fixture models the real one's
+// shape.
 package wal
 
 type Log struct {
 	seq uint64
 }
 
-func (l *Log) Append(p []byte) (uint64, error) {
-	l.seq++
-	return l.seq, nil
-}
-
-// AppendNoSync is the group-commit half of the real log's API: append
-// under the lock, leave the fsync to the committer. The engine treats
-// it as a WAL append, but — unlike the syncing Append — not as a
-// durability wait.
+// AppendNoSync is the real log's only append: write under the lock,
+// leave the fsync to the committer. The engine treats it as a WAL
+// append, but not as a durability wait.
 func (l *Log) AppendNoSync(p []byte) (uint64, error) {
 	l.seq++
 	return l.seq, nil

@@ -3,7 +3,8 @@
 // release a stream ack) after a call that can reach a WAL append and a
 // call that can reach a durability wait. The guards are the engine's
 // transitive AppendsWAL and WaitsDurable facts, so a wrapper between
-// the handler and (*wal.Log).Append still counts.
+// the handler and (*wal.Log).AppendNoSync or
+// (*wal.GroupCommitter).WaitDurable still counts.
 package server
 
 import (
@@ -28,10 +29,14 @@ type store struct {
 	group *wal.GroupCommitter
 }
 
-// enqueue reaches the WAL through one level of indirection.
+// enqueue reaches the WAL append and the durability wait through one
+// level of indirection: the whole durable write in one helper.
 func (s *store) enqueue(p []byte) error {
-	_, err := s.log.Append(p)
-	return err
+	seq, err := s.log.AppendNoSync(p)
+	if err != nil {
+		return err
+	}
+	return s.group.WaitDurable(seq)
 }
 
 // The protocol: durable first, then the 202.

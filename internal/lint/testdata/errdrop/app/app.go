@@ -17,8 +17,8 @@ func encode(v interface{}) {
 }
 
 func read(name string) string {
-	f, _ := os.Open(name) // want `assigned to _`
-	defer f.Close()       // allowed: deferred cleanup is exempt
+	f, _ := os.Open(name)     // want `assigned to _`
+	defer f.Close()           // allowed: deferred cleanup is exempt
 	b, _ := os.ReadFile(name) // want `assigned to _`
 	return string(b)
 }

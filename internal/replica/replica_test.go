@@ -102,7 +102,7 @@ func newLeaderWorld(t *testing.T, n int, segmentBytes int64) *testSource {
 	}
 	t.Cleanup(func() { log.Close() })
 	for i := 1; i <= n; i++ {
-		if _, err := log.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+		if _, err := log.AppendNoSync([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +270,7 @@ func TestTwoFollowersTailWhileLeaderRotates(t *testing.T) {
 	appended := make(chan error, 1)
 	go func() {
 		for i := 11; i <= total; i++ {
-			if _, err := src.log.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+			if _, err := src.log.AppendNoSync([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 				appended <- err
 				return
 			}

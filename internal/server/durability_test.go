@@ -435,7 +435,7 @@ func TestWALLegacyJSONRefusedAtBoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range payloads {
-			if _, err := log.Append(p); err != nil {
+			if _, err := log.AppendNoSync(p); err != nil {
 				t.Fatal(err)
 			}
 		}

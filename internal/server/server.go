@@ -31,6 +31,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -244,6 +245,14 @@ func (s *Server) serveClient(ss *session, req clientReq, dst []tracker.Fix) ([]t
 		if len(sc.RSS) != s.numAPs {
 			return dst, &clientError{http.StatusBadRequest,
 				fmt.Sprintf("scan has %d APs, deployment has %d", len(sc.RSS), s.numAPs)}
+		}
+		// A NaN or ±Inf reading would turn every candidate probability
+		// into NaN; the binary Scan frame can carry one, JSON cannot.
+		for _, v := range sc.RSS {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return dst, &clientError{http.StatusBadRequest,
+					fmt.Sprintf("scan has a non-finite RSS reading %v", v)}
+			}
 		}
 	}
 	fpOnly := s.fingerprintOnly()

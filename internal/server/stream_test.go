@@ -6,6 +6,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -260,6 +261,86 @@ func TestStreamSessionTracking(t *testing.T) {
 	// An unknown session must be refused at hello.
 	if _, err := wire.DialStream(addr, "phone-bad", wire.ClientOptions{SessionID: "nope"}); err == nil {
 		t.Fatal("hello with unknown session succeeded")
+	}
+}
+
+// TestStreamRefusesNonFiniteScan drives the raw protocol: a Scan frame
+// carrying a NaN or +Inf RSS reading is answered with an Error frame
+// instead of reaching the tracker, where it would turn every candidate
+// probability into NaN. The session stays usable: a valid scan and tick
+// on a fresh connection return a fix.
+func TestStreamRefusesNonFiniteScan(t *testing.T) {
+	sys := buildSys(t)
+	srv := durableServer(t, sys, Options{})
+	defer srv.Close()
+	addr := startStream(t, srv)
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts, "/v1/sessions", createReq{HeightM: 1.71, WeightKg: 68})
+	if resp.StatusCode != 201 {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	var created createResp
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	g, err := sensors.NewGenerator(sys.Config.Sensors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, _ := g.Walk(nil, 0, 4, 1.8, 90, sensors.Device{}, 0, stats.NewRNG(7))
+	rss := sys.Model.Sample(sys.Plan.LocPos(1), stats.NewRNG(107))
+
+	// walk sends IMU, one scan and a tick on a fresh connection bound to
+	// the session, and returns the first reply frame.
+	walk := func(scan []float64) wire.Frame {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		rd, wr := wire.NewReader(conn, 0), wire.NewWriter(conn)
+		wr.WriteFrame(wire.FrameHello, 0, wire.AppendHello(nil, "raw-scan", created.SessionID))
+		if err := wr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if fr, err := rd.ReadFrame(); err != nil || fr.Type != wire.FrameHelloAck {
+			t.Fatalf("hello-ack: %v type %d", err, fr.Type)
+		}
+		wr.WriteFrame(wire.FrameIMUBatch, 0, wire.AppendIMU(nil, samples))
+		wr.WriteFrame(wire.FrameScan, 7, wire.AppendScan(nil, 1, scan))
+		wr.WriteFrame(wire.FrameTick, 8, wire.AppendTick(nil, 10))
+		if err := wr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := rd.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		scan := append([]float64(nil), rss...)
+		scan[len(scan)/2] = bad
+		fr := walk(scan)
+		if fr.Type != wire.FrameError || fr.Seq != 7 || !strings.Contains(string(fr.Payload), "non-finite") {
+			t.Fatalf("scan with RSS %v: frame type %d seq %d %q, want an Error frame for seq 7",
+				bad, fr.Type, fr.Seq, fr.Payload)
+		}
+	}
+	fr := walk(rss)
+	if fr.Type != wire.FrameFix || fr.Seq != 8 {
+		t.Fatalf("valid scan: frame type %d seq %d %q, want a Fix for seq 8", fr.Type, fr.Seq, fr.Payload)
+	}
+	ft, loc, _, err := wire.DecodeFix(fr.Payload)
+	if err != nil || math.IsNaN(ft) || math.IsInf(ft, 0) || loc < 1 || loc > sys.Plan.NumLocs() {
+		t.Fatalf("fix after refused scans: t=%v loc=%d err=%v", ft, loc, err)
 	}
 }
 

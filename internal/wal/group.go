@@ -67,8 +67,7 @@ func NewGroupCommitter(l *Log) *GroupCommitter {
 // not be acknowledged (it may still replay: at-least-once, never silent
 // loss). Under SyncInterval the cadence sync is given a chance to fire
 // and the call returns immediately — durability lags acks by at most
-// SyncEvery, exactly as the HTTP path's Append does. Under SyncNone it
-// returns immediately.
+// SyncEvery. Under SyncNone it returns immediately.
 //
 // Failure is sticky per sequence: once a covering sync attempt fails
 // for sequences <= failSeq, those sequences report that failure even if

@@ -114,7 +114,7 @@ func FuzzReaderVsReplay(f *testing.F) {
 			switch b % 8 {
 			case 0, 1, 2, 7:
 				payload := strings.Repeat(string(rune('a'+i%26)), p)
-				if seq, err := l.Append([]byte(payload)); err == nil {
+				if seq, err := l.AppendNoSync([]byte(payload)); err == nil {
 					model[seq] = payload
 				}
 			case 3:
@@ -229,7 +229,7 @@ func TestReaderTailAllocsFlat(t *testing.T) {
 		l, r, next := tailFixture(t, size)
 		payload := make([]byte, 200)
 		a := testing.AllocsPerRun(200, func() {
-			if _, err := l.Append(payload); err != nil {
+			if _, err := l.AppendNoSync(payload); err != nil {
 				t.Fatal(err)
 			}
 			n, err := r.ReadFrom(next, 1, func(uint64, []byte) error { return nil })
@@ -256,7 +256,7 @@ func tailFixture(tb testing.TB, size int) (*Log, *Reader, uint64) {
 	tb.Cleanup(func() { l.Close() })
 	rec := make([]byte, 4<<10)
 	for written := 0; written < size; written += headerSize + len(rec) {
-		if _, err := l.Append(rec); err != nil {
+		if _, err := l.AppendNoSync(rec); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -287,7 +287,7 @@ func BenchmarkWALReader(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := l.Append(payload); err != nil {
+				if _, err := l.AppendNoSync(payload); err != nil {
 					b.Fatal(err)
 				}
 				n, err := r.ReadFrom(next, 1, func(uint64, []byte) error { return nil })

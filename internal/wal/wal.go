@@ -5,14 +5,15 @@
 // asset; the WAL is what lets a crash keep none of its acknowledged
 // training data).
 //
-// Durability contract: Append returns the record's sequence number only
-// after the record is durable per the configured SyncPolicy. On Open,
-// existing segments are replayed in order and a torn tail — a partial
-// header, a short payload, or a checksum mismatch at the end of the log
-// — is truncated rather than refusing to boot; replay therefore yields
-// exactly the records whose Append completed (at-least-once: a record
-// written but unacknowledged because its fsync failed may still
-// replay).
+// Durability contract: AppendNoSync writes a record and returns its
+// sequence number; the record may be acknowledged once
+// GroupCommitter.WaitDurable(seq) returns nil, which makes it durable
+// per the configured SyncPolicy. On Open, existing segments are
+// replayed in order and a torn tail — a partial header, a short
+// payload, or a checksum mismatch at the end of the log — is truncated
+// rather than refusing to boot; replay therefore yields exactly the
+// records whose append completed (at-least-once: a record written but
+// unacknowledged because its fsync failed may still replay).
 //
 // All I/O goes through the fault.FS seam, so every failure mode (EIO on
 // fsync, short write, crash between operations, full disk) is
@@ -32,13 +33,13 @@ import (
 	"moloc/internal/fault"
 )
 
-// SyncPolicy selects when Append makes records durable.
+// SyncPolicy selects when WaitDurable releases an appended record.
 type SyncPolicy int
 
 // Fsync policies, in decreasing durability order.
 const (
-	// SyncAlways fsyncs after every append: an acknowledged record
-	// survives kill -9 and power loss. The default.
+	// SyncAlways releases a record only after an fsync covers it: an
+	// acknowledged record survives kill -9 and power loss. The default.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs at most once per SyncEvery (group commit):
 	// an acknowledged record survives process crashes immediately (it
@@ -83,7 +84,7 @@ const (
 )
 
 // Options configure a Log. The zero value selects the defaults: real
-// disk, 4 MiB segments, fsync on every append.
+// disk, 4 MiB segments, fsync before every release.
 type Options struct {
 	// FS is the filesystem seam; nil selects the real disk.
 	FS fault.FS
@@ -244,7 +245,7 @@ func Open(dir string, o Options, fn func(seq uint64, payload []byte) error) (*Lo
 	}
 
 	// Reopen the last segment for appending when it has room; otherwise
-	// the first Append rotates.
+	// the first append rotates.
 	if n := len(l.segs); n > 0 && lastSize < o.SegmentBytes {
 		path := filepath.Join(dir, l.segs[n-1].name)
 		f, err := fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -281,7 +282,7 @@ func (l *Log) OpenStats() ReplayStats {
 	return l.openStats
 }
 
-// NextSeq returns the sequence number the next Append will use.
+// NextSeq returns the sequence number the next append will use.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -326,34 +327,6 @@ func (l *Log) EnsureSeqAtLeast(seq uint64) {
 	}
 }
 
-// Append writes one record and returns its sequence number once the
-// record is durable per the sync policy. An error means the record must
-// not be acknowledged; it may or may not survive on disk (at-least-once
-// on replay, never silent loss).
-func (l *Log) Append(payload []byte) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seq, err := l.appendLocked(payload)
-	if err != nil {
-		return 0, err
-	}
-	switch l.o.Policy {
-	case SyncAlways:
-		if err := l.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.lastSync = l.o.Now()
-	case SyncInterval:
-		if now := l.o.Now(); now.Sub(l.lastSync) >= l.o.SyncEvery {
-			if err := l.f.Sync(); err != nil {
-				return 0, fmt.Errorf("wal: fsync: %w", err)
-			}
-			l.lastSync = now
-		}
-	}
-	return seq, nil
-}
-
 // AppendNoSync writes one record without making it durable: the write
 // lands in the active segment (and the OS page cache) but no fsync is
 // issued regardless of policy. The record MUST NOT be acknowledged
@@ -363,13 +336,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 func (l *Log) AppendNoSync(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(payload)
-}
-
-// appendLocked encodes and writes one record under l.mu: torn-tail
-// repair, rotation, framing, the write itself — everything but the
-// fsync decision, which the caller owns.
-func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}

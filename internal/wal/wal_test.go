@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -30,7 +29,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		seq, err := l.Append([]byte(fmt.Sprintf("batch-%d", i)))
+		seq, err := l.AppendNoSync([]byte(fmt.Sprintf("batch-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +58,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("next seq = %d, want 6", l2.NextSeq())
 	}
 	// Appending after reopen continues the sequence in the same segment.
-	if seq, err := l2.Append([]byte("post")); err != nil || seq != 6 {
+	if seq, err := l2.AppendNoSync([]byte("post")); err != nil || seq != 6 {
 		t.Fatalf("append after reopen: seq=%d err=%v", seq, err)
 	}
 }
@@ -71,7 +70,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := l.Append([]byte("0123456789012345678901234567890123456789")); err != nil {
+		if _, err := l.AppendNoSync([]byte("0123456789012345678901234567890123456789")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +100,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append([]byte("solid")); err != nil {
+		if _, err := l.AppendNoSync([]byte("solid")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +133,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// The log is healthy again: append, close, clean reopen.
-	if seq, err := l2.Append([]byte("after")); err != nil || seq != 4 {
+	if seq, err := l2.AppendNoSync([]byte("after")); err != nil || seq != 4 {
 		t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 	}
 	if err := l2.Close(); err != nil {
@@ -161,7 +160,7 @@ func TestChecksumFlipDropsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 9; i++ {
-		if _, err := l.Append([]byte("0123456789012345678901234567890123456789")); err != nil {
+		if _, err := l.AppendNoSync([]byte("0123456789012345678901234567890123456789")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +196,7 @@ func TestChecksumFlipDropsTail(t *testing.T) {
 		t.Fatalf("stats: %+v (had %d segments)", st, segs)
 	}
 	// The log restarts writable from the truncation point.
-	if _, err := l2.Append([]byte("fresh")); err != nil {
+	if _, err := l2.AppendNoSync([]byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -211,7 +210,7 @@ func TestTruncateThrough(t *testing.T) {
 	defer l.Close()
 	var last uint64
 	for i := 0; i < 12; i++ {
-		last, err = l.Append([]byte("0123456789012345678901234567890123456789"))
+		last, err = l.AppendNoSync([]byte("0123456789012345678901234567890123456789"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,47 +231,24 @@ func TestTruncateThrough(t *testing.T) {
 		t.Fatalf("idempotent truncate: n=%d err=%v", n, err)
 	}
 	// Sequence numbering is unaffected.
-	if seq, err := l.Append([]byte("next")); err != nil || seq != last+1 {
+	if seq, err := l.AppendNoSync([]byte("next")); err != nil || seq != last+1 {
 		t.Fatalf("append after truncate: seq=%d err=%v", seq, err)
 	}
 }
 
-// countFS counts file fsyncs, for asserting group-commit behavior.
-type countFS struct {
-	fault.FS
-	mu    sync.Mutex
-	syncs int
-}
-
-func (c *countFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
-	f, err := c.FS.OpenFile(name, flag, perm)
+// appendDurable is the server's write shape: AppendNoSync, then wait
+// on the group committer for the record's durability.
+func appendDurable(l *Log, g *GroupCommitter, payload []byte) (uint64, error) {
+	seq, err := l.AppendNoSync(payload)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &countFile{File: f, c: c}, nil
-}
-
-func (c *countFS) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.syncs
-}
-
-type countFile struct {
-	fault.File
-	c *countFS
-}
-
-func (f *countFile) Sync() error {
-	f.c.mu.Lock()
-	f.c.syncs++
-	f.c.mu.Unlock()
-	return f.File.Sync()
+	return seq, g.WaitDurable(seq)
 }
 
 func TestSyncIntervalGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	cfs := &countFS{FS: fault.Disk{}}
+	cfs := &countingFS{FS: fault.Disk{}}
 	clk := fault.NewManualClock(time.Unix(1000, 0))
 	l, err := Open(dir, Options{
 		FS:        cfs,
@@ -284,33 +260,35 @@ func TestSyncIntervalGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	g := NewGroupCommitter(l)
+	defer g.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]byte("x")); err != nil {
+		if _, err := appendDurable(l, g, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := cfs.count(); got != 0 {
+	if got := cfs.syncs.Load(); got != 0 {
 		t.Fatalf("no time passed: %d fsyncs, want 0", got)
 	}
 	clk.Advance(time.Second)
-	if _, err := l.Append([]byte("x")); err != nil {
+	if _, err := appendDurable(l, g, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfs.count(); got != 1 {
+	if got := cfs.syncs.Load(); got != 1 {
 		t.Fatalf("after window: %d fsyncs, want 1", got)
 	}
 	// Window resets: the next immediate append does not sync again.
-	if _, err := l.Append([]byte("x")); err != nil {
+	if _, err := appendDurable(l, g, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfs.count(); got != 1 {
+	if got := cfs.syncs.Load(); got != 1 {
 		t.Fatalf("inside new window: %d fsyncs, want 1", got)
 	}
 }
 
-// TestFsyncEIOThenRecover: a transient EIO on fsync fails that append,
-// but the log keeps accepting records afterwards and everything written
-// replays.
+// TestFsyncEIOThenRecover: a transient EIO on fsync fails that record's
+// durability wait, but the log keeps accepting records afterwards and
+// everything written replays.
 func TestFsyncEIOThenRecover(t *testing.T) {
 	dir := t.TempDir()
 	in := fault.NewInjector(fault.Disk{}, fault.Rule{Op: fault.OpSync, PathContains: segPrefix, Err: syscall.EIO})
@@ -318,16 +296,18 @@ func TestFsyncEIOThenRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("lost-ack")); !errors.Is(err, syscall.EIO) {
+	g := NewGroupCommitter(l)
+	if _, err := appendDurable(l, g, []byte("lost-ack")); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("want EIO, got %v", err)
 	}
-	seq, err := l.Append([]byte("second"))
+	seq, err := appendDurable(l, g, []byte("second"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq != 2 {
 		t.Fatalf("seq = %d, want 2 (unacked record still occupies 1)", seq)
 	}
+	g.Close()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,13 +333,13 @@ func TestTornWriteRepairedInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("first")); err != nil {
+	if _, err := l.AppendNoSync([]byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("torn")); !errors.Is(err, syscall.ENOSPC) {
+	if _, err := l.AppendNoSync([]byte("torn")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("want ENOSPC, got %v", err)
 	}
-	if seq, err := l.Append([]byte("healed")); err != nil || seq != 2 {
+	if seq, err := l.AppendNoSync([]byte("healed")); err != nil || seq != 2 {
 		t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 	}
 	if err := l.Close(); err != nil {
@@ -388,11 +368,11 @@ func TestCrashMidWriteRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := l.Append([]byte("acked")); err != nil {
+		if _, err := l.AppendNoSync([]byte("acked")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := l.Append([]byte("in-flight")); !errors.Is(err, fault.ErrCrashed) {
+	if _, err := l.AppendNoSync([]byte("in-flight")); !errors.Is(err, fault.ErrCrashed) {
 		t.Fatalf("want ErrCrashed, got %v", err)
 	}
 	// The process is dead; a new one opens the same directory.
@@ -409,7 +389,7 @@ func TestCrashMidWriteRecovers(t *testing.T) {
 	if st.Truncations != 1 || st.TornBytes != 9 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if seq, err := l2.Append([]byte("reborn")); err != nil || seq != 3 {
+	if seq, err := l2.AppendNoSync([]byte("reborn")); err != nil || seq != 3 {
 		t.Fatalf("append after recovery: seq=%d err=%v", seq, err)
 	}
 }
@@ -421,7 +401,7 @@ func TestEnsureSeqAtLeast(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.EnsureSeqAtLeast(100)
-	if seq, err := l.Append([]byte("high")); err != nil || seq != 101 {
+	if seq, err := l.AppendNoSync([]byte("high")); err != nil || seq != 101 {
 		t.Fatalf("seq=%d err=%v, want 101", seq, err)
 	}
 	if err := l.Close(); err != nil {
@@ -465,7 +445,7 @@ func TestAppendAfterClose(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
+	if _, err := l.AppendNoSync([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -480,10 +460,10 @@ func TestOversizeRecordRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append(make([]byte, 9)); err == nil {
+	if _, err := l.AppendNoSync(make([]byte, 9)); err == nil {
 		t.Fatal("oversize record should be rejected")
 	}
-	if seq, err := l.Append(make([]byte, 8)); err != nil || seq != 1 {
+	if seq, err := l.AppendNoSync(make([]byte, 8)); err != nil || seq != 1 {
 		t.Fatalf("max-size record: seq=%d err=%v", seq, err)
 	}
 }
@@ -498,7 +478,7 @@ func TestReadFromResumesMidLog(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 1; i <= 10; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+		if _, err := l.AppendNoSync([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -539,7 +519,7 @@ func TestReadFromTruncatedBehindCheckpoint(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 1; i <= 10; i++ {
-		if _, err := l.Append([]byte("0123456789012345678901234567890123456789")); err != nil {
+		if _, err := l.AppendNoSync([]byte("0123456789012345678901234567890123456789")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -575,12 +555,12 @@ func TestReadFromSequenceJumpGap(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 1; i <= 2; i++ {
-		if _, err := l.Append([]byte("before")); err != nil {
+		if _, err := l.AppendNoSync([]byte("before")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l.EnsureSeqAtLeast(10)
-	seq, err := l.Append([]byte("after"))
+	seq, err := l.AppendNoSync([]byte("after"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +596,7 @@ func TestReadFromClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("x")); err != nil {
+	if _, err := l.AppendNoSync([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
