@@ -71,7 +71,7 @@ bench:
 BENCHTIME ?= 1s
 BENCH_JSON ?= BENCH_PR10.json
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkFingerprintKNN|BenchmarkMotionMatchProb|BenchmarkMoLocLocalize|BenchmarkScalability|BenchmarkMotionTrain|BenchmarkRecompileEdges|BenchmarkIngestUnderLoad|BenchmarkIngestStream|BenchmarkWALGroupCommit|BenchmarkSessionShards|BenchmarkTickWheel|BenchmarkReplApply' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFingerprintKNN|BenchmarkMotionMatchProb|BenchmarkMoLocLocalize|BenchmarkScalability|BenchmarkMotionTrain|BenchmarkRecompileEdges|BenchmarkIngestUnderLoad|BenchmarkIngestStream|BenchmarkWALGroupCommit|BenchmarkSessionShards|BenchmarkTickWheel|BenchmarkReplApply|BenchmarkHTTPBatch' \
 		-benchmem -benchtime $(BENCHTIME) -count 1 . > bench.out
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) < bench.out
 	rm -f bench.out

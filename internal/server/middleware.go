@@ -1,5 +1,5 @@
 // Request middleware: per-route instrumentation (counters + latency
-// histograms, internal/obs) and body-hardened JSON decoding
+// histograms, internal/obs) and body-hardened reading and JSON decoding
 // (http.MaxBytesReader). Kept apart from the handlers so the serving
 // logic in server.go stays about sessions, not plumbing.
 package server
@@ -256,10 +256,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // readBody reads the full body-capped request body into buf, reusing
-// its capacity (//moloc:reuse) — the hot-ingest alternative to
-// decodeJSON, whose per-request json.Decoder is most of that path's
-// allocations. It answers 413 for oversized bodies and 400 for read
-// failures, reporting whether the handler should proceed.
+// its capacity (//moloc:reuse) — how every data-plane route reads, for
+// the schema-specific codec (codec.go) to decode. It answers 413 for
+// oversized bodies and 400 for read failures, reporting whether the
+// handler should proceed.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	if buf == nil {
@@ -290,7 +290,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([
 
 // decodeJSON decodes a body-capped JSON request into v, answering 413
 // for oversized bodies and 400 for malformed JSON. It reports whether
-// the handler should proceed.
+// the handler should proceed. Only session create uses it; the data
+// plane reads with readBody and decodes with codec.go.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {

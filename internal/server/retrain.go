@@ -11,7 +11,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -285,22 +284,6 @@ type obsResp struct {
 	Pending int `json:"pending"`
 }
 
-// obsIngestScratch is the pooled per-request state of the JSON ingest
-// path: the raw body, the decoded batch, and the WAL payload encoding.
-// All three reuse their capacity across requests (//moloc:reuse) —
-// encoding/json decodes into the retained Observations slice without
-// reallocating it — which is what holds the handler to a handful of
-// allocations per batch instead of one per observation.
-type obsIngestScratch struct {
-	body    []byte
-	req     obsReq
-	payload []byte
-}
-
-var obsIngestPool = sync.Pool{
-	New: func() interface{} { return new(obsIngestScratch) },
-}
-
 // handleObservations ingests a crowdsourced batch. The //moloc:durable
 // contract (checked by moloclint's durableack): with durability on, the
 // 202 may only be written after the batch reached the WAL and its
@@ -317,30 +300,29 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 				" (or promote this follower)")
 		return
 	}
-	sc := obsIngestPool.Get().(*obsIngestScratch)
-	defer obsIngestPool.Put(sc)
+	sc := codecPool.Get().(*codecScratch)
+	defer codecPool.Put(sc)
 	var ok bool
 	if sc.body, ok = s.readBody(w, r, sc.body); !ok {
 		return
 	}
-	sc.req.Observations = sc.req.Observations[:0]
-	if err := json.Unmarshal(sc.body, &sc.req); err != nil {
+	if err := sc.decodeObservations(); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	req := &sc.req
-	if len(req.Observations) == 0 {
+	batch := sc.obs
+	if len(batch) == 0 {
 		httpError(w, http.StatusBadRequest, "no observations")
 		return
 	}
-	if len(req.Observations) > maxObsBatch {
+	if len(batch) > maxObsBatch {
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d observations exceeds the %d cap; split the upload",
-				len(req.Observations), maxObsBatch))
+				len(batch), maxObsBatch))
 		return
 	}
 	n := s.plan.NumLocs()
-	for i, o := range req.Observations {
+	for i, o := range batch {
 		if err := validateObservation(o, n); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("observation %d: %v", i, err))
 			return
@@ -352,13 +334,13 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	// magic byte, and which reuses the pooled buffer).
 	var payload []byte
 	if s.store != nil {
-		sc.payload = wire.AppendObservations(sc.payload[:0], req.Observations)
-		payload = sc.payload
+		sc.out = wire.AppendObservations(sc.out[:0], batch)
+		payload = sc.out
 	}
-	seq, err := s.ingest(payload, req.Observations, false)
+	seq, err := s.ingest(payload, batch, false)
 	switch {
 	case errors.Is(err, errQueueFull):
-		s.met.observationsDropped.Add(int64(len(req.Observations)))
+		s.met.observationsDropped.Add(int64(len(batch)))
 		httpError(w, http.StatusTooManyRequests,
 			"observation queue full; retry after the next retrain")
 		return
@@ -379,7 +361,7 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, obsResp{
-		Queued:  len(req.Observations),
+		Queued:  len(batch),
 		Pending: s.retrain.pendingLen(),
 	})
 }

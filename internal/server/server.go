@@ -359,10 +359,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", s.instrument("create", s.handleCreate))
 	mux.HandleFunc("GET /v1/sessions/{id}", s.instrument("get", s.handleGet))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("delete", s.handleDelete))
-	mux.HandleFunc("POST /v1/sessions/{id}/imu", s.instrument("imu", s.handleIMU))
-	mux.HandleFunc("POST /v1/sessions/{id}/scan", s.instrument("scan", s.handleScan))
-	mux.HandleFunc("POST /v1/sessions/{id}/tick", s.instrument("tick", s.handleTick))
-	mux.HandleFunc("POST /v1/sessions/{id}/batch", s.instrument("batch", s.handleBatch))
+	mux.HandleFunc("POST /v1/sessions/{id}/imu", s.instrument("imu", s.clientHandler(routeIMU)))
+	mux.HandleFunc("POST /v1/sessions/{id}/scan", s.instrument("scan", s.clientHandler(routeScan)))
+	mux.HandleFunc("POST /v1/sessions/{id}/tick", s.instrument("tick", s.clientHandler(routeTick)))
+	mux.HandleFunc("POST /v1/sessions/{id}/batch", s.instrument("batch", s.clientHandler(routeBatch)))
 	mux.HandleFunc("POST /v1/observations", s.instrument("observations", s.handleObservations))
 	mux.HandleFunc("POST /v1/admin/promote", s.instrument("promote", s.handlePromote))
 	return mux
@@ -609,37 +609,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// The client-paced routes are the JSON codec over serveClient: decode
-// the body, run the transport-neutral request, and encode its fixes.
-// /tick is /batch's single-interval form, answering the newest fix or
-// 204.
-
-func (s *Server) handleIMU(w http.ResponseWriter, r *http.Request) {
-	var req imuReq
-	if _, ok := s.serveHTTP(w, r, &req, func() clientReq { return clientReq{samples: req.Samples} }); ok {
-		w.WriteHeader(http.StatusAccepted)
-	}
-}
-
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	var req scanReq
-	if _, ok := s.serveHTTP(w, r, &req, func() clientReq { return clientReq{scans: []scanReq{req}} }); ok {
-		w.WriteHeader(http.StatusAccepted)
-	}
-}
-
-func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
-	var req tickReq
-	fixes, ok := s.serveHTTP(w, r, &req, func() clientReq { return clientReq{tick: true, t: req.T} })
-	switch {
-	case !ok:
-	case len(fixes) == 0:
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeJSON(w, http.StatusOK, s.toResp(fixes[len(fixes)-1]))
-	}
-}
-
 // batchReq is one batched upload: buffered sensor data plus a final
 // tick time, applied in one worker dispatch.
 type batchReq struct {
@@ -654,38 +623,36 @@ type batchResp struct {
 	Fixes []fixResp `json:"fixes"`
 }
 
-// handleBatch is the batched data plane: a phone that buffered several
-// intervals of sensor data uploads samples, scans, and the final tick
-// time in one request, and every interval's fix comes back, not just
-// the last, so a batched client sees the same fix stream a
-// per-interval client would.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchReq
-	fixes, ok := s.serveHTTP(w, r, &req, func() clientReq {
-		return clientReq{samples: req.Samples, scans: req.Scans, tick: true, t: req.T}
-	})
+// clientHandler is the HTTP handler of one client-paced route.
+func (s *Server) clientHandler(route clientRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { s.serveHTTP(w, r, route) }
+}
+
+// serveHTTP is the JSON codec (codec.go) over serveClient: it resolves
+// the path's session, decodes the body into pooled scratch, runs the
+// request, and answers. /imu and /scan answer 202. /batch is the
+// batched data plane: a phone that buffered several intervals of
+// sensor data uploads samples, scans, and the final tick time in one
+// request, and every interval's fix comes back, not just the last, so a
+// batched client sees the same fix stream a per-interval client would.
+// /tick is /batch's single-interval form, answering the newest fix or
+// 204.
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request, route clientRoute) {
+	ss, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	resp := batchResp{Fixes: make([]fixResp, len(fixes))}
-	for i, fix := range fixes {
-		resp.Fixes[i] = s.toResp(fix)
+	sc := codecPool.Get().(*codecScratch)
+	defer codecPool.Put(sc)
+	if sc.body, ok = s.readBody(w, r, sc.body); !ok {
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// serveHTTP is the JSON codec's call into the core: it resolves the
-// path's session, decodes the body into v, runs the request req builds
-// from it, and answers every failure itself. The fixes are
-// serveClient's, borrowed until the handler encodes them.
-//
-//moloc:reuse
-func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request, v interface{}, req func() clientReq) ([]tracker.Fix, bool) {
-	ss, ok := s.lookup(w, r)
-	if !ok || !s.decodeJSON(w, r, v) {
-		return nil, false
+	if err := sc.decodeClient(route); err != nil {
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		return
 	}
-	fixes, err := s.serveClient(ss, req(), nil)
+	tick := route == routeTick || route == routeBatch
+	fixes, err := s.serveClient(ss, clientReq{samples: sc.req.Samples, scans: sc.req.Scans, tick: tick, t: sc.req.T}, sc.fixes[:0])
 	if err != nil {
 		status := http.StatusInternalServerError
 		var ce *clientError
@@ -698,9 +665,19 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request, v interface{}
 			status = ce.status
 		}
 		httpError(w, status, err.Error())
-		return nil, false
+		return
 	}
-	return fixes, true
+	switch {
+	case !tick:
+		w.WriteHeader(http.StatusAccepted)
+	case route == routeTick && len(fixes) == 0:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		s.writeFixes(w, sc, fixes, route == routeBatch)
+	}
+	// The pooled fixes keep their capacity, not the candidate sets.
+	clear(fixes)
+	sc.fixes = fixes[:0]
 }
 
 func (s *Server) toResp(fix tracker.Fix) fixResp {
