@@ -50,9 +50,8 @@
 // POSTing /tick, the server ticks each session at its tracker
 // interval: every -wheel-slot period each worker sweeps its paced
 // sessions and ticks the due ones off one motion-index snapshot load.
-// Paced fixes are pushed
-// over the stream listener as unsolicited Fix frames; HTTP-only clients
-// poll GET /v1/sessions/{id}. Individual sessions opt in with
+// Clients read paced fixes with GET /v1/sessions/{id}; the stream
+// listener sends none unasked. Individual sessions opt in with
 // {"paced":true} at create regardless of the flag. -shards sets the
 // session-registry stripe count (default: one per worker).
 //

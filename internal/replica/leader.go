@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"moloc/internal/checkpoint"
 	"moloc/internal/wal"
 	"moloc/internal/wire"
 )
@@ -46,9 +45,10 @@ import (
 // it: checkpoint access for bootstrap, WAL access for tailing. The
 // server implements it over its durableStore.
 type Source interface {
-	// Snapshot opens the newest valid checkpoint for chunked shipping;
-	// checkpoint.ErrNoCheckpoint when none exists.
-	Snapshot() (*checkpoint.Snapshot, error)
+	// Snapshot returns the newest valid checkpoint's payload and the
+	// WAL sequence it covers; checkpoint.ErrNoCheckpoint when none
+	// exists.
+	Snapshot() (payload []byte, lastSeq uint64, err error)
 	// FirstSeq is the oldest WAL sequence still materialized.
 	FirstSeq() uint64
 	// NextSeq is the sequence the next local append will use.
@@ -349,33 +349,34 @@ func (ld *Leader) stream(wr *wire.Writer, st *ackState, cursor uint64) error {
 // that ack — WAL frames pipeline behind the chunks and the follower
 // applies them in order.
 func (ld *Leader) bootstrap(wr *wire.Writer, cursor uint64) (uint64, error) {
-	snap, err := ld.src.Snapshot()
+	payload, ckptSeq, err := ld.src.Snapshot()
 	if err != nil {
 		wr.WriteError(0, "leader has no checkpoint covering the requested sequence")
 		//lint:ignore errdrop the bootstrap already failed; the flush error cannot add anything
 		_ = wr.Flush()
 		return cursor, fmt.Errorf("replica: bootstrap needs a checkpoint covering seq %d: %w", cursor, err)
 	}
-	if snap.LastSeq+1 < cursor {
+	if ckptSeq+1 < cursor {
 		// The checkpoint predates what the follower already holds; with
 		// cursor < FirstSeq this means the WAL lost records no checkpoint
 		// covers — refuse loudly rather than ship a regression.
 		wr.WriteError(0, "leader checkpoint behind follower state")
 		//lint:ignore errdrop the bootstrap already failed; the flush error cannot add anything
 		_ = wr.Flush()
-		return cursor, fmt.Errorf("replica: newest checkpoint covers %d, follower already at %d", snap.LastSeq, cursor-1)
+		return cursor, fmt.Errorf("replica: newest checkpoint covers %d, follower already at %d", ckptSeq, cursor-1)
 	}
-	var idx uint64
-	for {
-		chunk, last := snap.Next(ld.o.chunkBytes)
-		wr.WriteFrame(wire.FrameCheckpointChunk, idx, wire.AppendCheckpointChunk(nil, snap.LastSeq, last, chunk))
-		idx++
+	// An empty checkpoint still ships one (empty, last) chunk, so the
+	// follower always sees a terminator.
+	for idx := uint64(0); ; idx++ {
+		chunk := payload[:min(ld.o.chunkBytes, len(payload))]
+		payload = payload[len(chunk):]
+		last := len(payload) == 0
+		wr.WriteFrame(wire.FrameCheckpointChunk, idx, wire.AppendCheckpointChunk(nil, ckptSeq, last, chunk))
 		if err := wr.Flush(); err != nil {
 			return cursor, err
 		}
 		if last {
-			break
+			return ckptSeq + 1, nil
 		}
 	}
-	return snap.LastSeq + 1, nil
 }

@@ -24,15 +24,15 @@ type testSource struct {
 	ckptDir string
 }
 
-func (s *testSource) Snapshot() (*checkpoint.Snapshot, error) {
-	snap, _, err := checkpoint.OpenLatest(s.fs, s.ckptDir)
-	return snap, err
+func (s *testSource) Snapshot() ([]byte, uint64, error) {
+	payload, seq, _, err := checkpoint.Latest(s.fs, s.ckptDir)
+	return payload, seq, err
 }
 func (s *testSource) FirstSeq() uint64 { return s.log.FirstSeq() }
 func (s *testSource) NextSeq() uint64  { return s.log.NextSeq() }
 func (s *testSource) CkptSeq() uint64 {
-	if snap, _, err := checkpoint.OpenLatest(s.fs, s.ckptDir); err == nil {
-		return snap.LastSeq
+	if _, seq, _, err := checkpoint.Latest(s.fs, s.ckptDir); err == nil {
+		return seq
 	}
 	return 0
 }

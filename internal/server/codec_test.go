@@ -363,24 +363,37 @@ func TestObservationsRefuseStaleScratch(t *testing.T) {
 	}
 }
 
-// TestNonFiniteFixAnswersError: a huge but finite RSS passes the scan
-// check, yet every dissimilarity overflows to +Inf and the candidate
-// probabilities come out 0/0 = NaN. JSON has no form for such a fix, so
-// /batch and /tick answer an explicit 500 error, never a 200 with an
-// empty body.
+// TestNonFiniteFixAnswersError: against a radio map whose every reading
+// is huge but finite, every dissimilarity of an ordinary scan overflows
+// to +Inf and the candidate probabilities come out 0/0 = NaN. JSON has
+// no form for such a fix, so /batch and /tick answer an explicit 500
+// error, never a 200 with an empty body. (A scan can no longer carry
+// such a reading itself: serveClient refuses it with a 400.)
 func TestNonFiniteFixAnswersError(t *testing.T) {
-	srv, _ := testServer(t)
+	_, sys := testServer(t)
+	numAPs := sys.Model.NumAPs()
+	radioMap := make([][]fingerprint.Fingerprint, sys.Plan.NumLocs())
+	for i := range radioMap {
+		fp := make(fingerprint.Fingerprint, numAPs)
+		for a := range fp {
+			fp[a] = -1e200
+		}
+		radioMap[i] = []fingerprint.Fingerprint{fp}
+	}
+	fdb, err := fingerprint.NewDB(fingerprint.Euclidean{}, numAPs, radioMap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(sys.Plan, fdb, numAPs, sys.MDB, sys.Config.Motion)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
 	for _, route := range []string{"batch", "tick"} {
 		id := createSession(t, ts)
 		req := walkBatch(stats.NewRNG(1), 0, srv.numAPs)
-		for i := range req.Scans {
-			for a := range req.Scans[i].RSS {
-				req.Scans[i].RSS[a] = -1e200
-			}
-		}
 		var resp *http.Response
 		var body []byte
 		if route == "tick" {

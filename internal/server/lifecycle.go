@@ -209,23 +209,15 @@ func (o Options) withDefaults() Options {
 }
 
 // session is one live tracking session. The fields after mu are
-// guarded by it; id, created, and paced are immutable.
+// guarded by it; id and created are immutable.
 type session struct {
 	id      string
 	created time.Time
-	// paced marks a session ticked by the server's sweeps (wheel.go)
-	// rather than by client tick requests. Set before the session is
-	// published in the registry, never changed after.
-	paced bool
 
 	mu         sync.Mutex
 	tk         *tracker.Tracker
 	lastActive time.Time
 	evicted    bool
-	// push, when non-nil, is the bound stream connection's serialized
-	// writer: the wheel pushes this session's paced fixes to it as
-	// unsolicited Fix frames (stream.go).
-	push *streamConn
 }
 
 func newSession(id string, tk *tracker.Tracker, now time.Time) *session {
@@ -251,38 +243,17 @@ func (ss *session) withTracker(now time.Time, fn func(tk *tracker.Tracker)) bool
 // withTrackerPaced is withTracker for the server-paced sweeps: it
 // runs fn under the session lock but does NOT record data-plane
 // activity — server pacing must not keep an abandoned session alive
-// past its idle TTL; only client uploads do that. It also hands back
-// the bound stream pusher (nil when no stream is attached), read under
-// the same lock so a sweep never races a connection teardown. alive
-// is false for an evicted session, which tells the sweep to drop the
-// entry instead of rescheduling it.
-func (ss *session) withTrackerPaced(fn func(tk *tracker.Tracker)) (push *streamConn, alive bool) {
+// past its idle TTL; only client uploads do that. alive is false for
+// an evicted session, which tells the sweep to drop the entry instead
+// of rescheduling it.
+func (ss *session) withTrackerPaced(fn func(tk *tracker.Tracker)) (alive bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.evicted {
-		return nil, false
+		return false
 	}
 	fn(ss.tk)
-	return ss.push, true
-}
-
-// bindPush attaches (or, with nil, detaches) the stream connection that
-// receives this session's paced fixes. The last binder wins; a
-// reconnecting client simply rebinds.
-func (ss *session) bindPush(sc *streamConn) {
-	ss.mu.Lock()
-	ss.push = sc
-	ss.mu.Unlock()
-}
-
-// unbindPush clears the pusher only while it is still sc, so a dying
-// connection cannot unbind its replacement.
-func (ss *session) unbindPush(sc *streamConn) {
-	ss.mu.Lock()
-	if ss.push == sc {
-		ss.push = nil
-	}
-	ss.mu.Unlock()
+	return true
 }
 
 // sessionView is a consistent read of the mutable session state.

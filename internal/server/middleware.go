@@ -76,8 +76,6 @@ type serverMetrics struct {
 	pacedSessions      *obs.Counter
 	pacedTicks         *obs.Counter
 	pacedSnapshotLoads *obs.Counter
-	pacedPushes        *obs.Counter
-	pacedPushErrors    *obs.Counter
 	pacedFixSeconds    *obs.Histogram
 
 	// Worker-pool sheds (pool.go): the total, and its split by transport.
@@ -135,8 +133,6 @@ func newServerMetrics() *serverMetrics {
 		pacedSessions:      reg.Counter("paced_sessions"),
 		pacedTicks:         reg.Counter("paced_ticks"),
 		pacedSnapshotLoads: reg.Counter("paced_snapshot_loads"),
-		pacedPushes:        reg.Counter("paced_fixes_pushed"),
-		pacedPushErrors:    reg.Counter("paced_push_errors"),
 		pacedFixSeconds:    reg.Histogram("paced_fix_seconds", obs.LatencyBuckets),
 
 		poolShed:   reg.Counter("pool_shed_total"),

@@ -2,12 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -33,13 +36,6 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// pushedFix is one server-pushed fix collected by the stream client.
-type pushedFix struct {
-	t     float64
-	loc   int
-	moved bool
-}
-
 // fixKey is one fix as every transport can report it.
 type fixKey struct {
 	T     float64
@@ -52,8 +48,8 @@ func keyOf(f fixResp) fixKey { return fixKey{f.T, f.Loc, f.Moved, f.Mode} }
 
 // TestPacedServerEquivalence pins transport equivalence on one walk:
 // per-interval /tick, per-interval /batch, one multi-interval /batch,
-// stream Tick frames and the server-paced wheel (fixes pushed as
-// unsolicited Fix frames) must all produce the same (t, loc, moved,
+// stream Tick frames and the server-paced wheel (fixes read back over
+// GET after each sweep) must all produce the same (t, loc, moved,
 // mode) sequence, because they are codecs over one data-plane core. A
 // late /tick closing every interval at once must count every fix it
 // produced in fixes{mode=…} and candidate_set_size, and the stream's
@@ -113,22 +109,6 @@ func TestPacedServerEquivalence(t *testing.T) {
 	tickID, batchID, multiID, streamID, lateID :=
 		createSession(t, ts), createSession(t, ts), createSession(t, ts), createSession(t, ts), createSession(t, ts)
 
-	var (
-		pushMu sync.Mutex
-		pushed []pushedFix
-	)
-	pc, err := wire.DialStream(addr, "eq-paced", wire.ClientOptions{
-		SessionID: pacedCr.SessionID,
-		OnFix: func(ft float64, loc int, moved bool) {
-			pushMu.Lock()
-			pushed = append(pushed, pushedFix{t: ft, loc: loc, moved: moved})
-			pushMu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
 	sc, err := wire.DialStream(addr, "eq-tick", wire.ClientOptions{SessionID: streamID})
 	if err != nil {
 		t.Fatal(err)
@@ -143,16 +123,18 @@ func TestPacedServerEquivalence(t *testing.T) {
 		}
 		return b
 	}
-	// lastFix reads a session's newest fix over GET: the mode of a
-	// stream or pushed fix, which the binary Fix frame does not carry.
-	lastFix := func(id string) fixKey {
+	// newestFix reads a session's newest fix over GET (nil before the
+	// first): how a paced client learns its fixes, and the mode of a
+	// stream fix, which the binary Fix frame does not carry.
+	newestFix := func(id string) *fixKey {
 		t.Helper()
 		var sr sessionResp
 		getJSON(t, ts, "/v1/sessions/"+id, &sr)
 		if sr.Fix == nil {
-			t.Fatalf("session %s has no fix", id)
+			return nil
 		}
-		return keyOf(*sr.Fix)
+		fk := keyOf(*sr.Fix)
+		return &fk
 	}
 
 	var tickSeq, batchSeq, streamSeq, pacedSeq []fixKey
@@ -198,36 +180,26 @@ func TestPacedServerEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ok {
-			fk := lastFix(streamID)
-			if fk.Loc != loc || fk.Moved != moved {
+			fk := newestFix(streamID)
+			if fk == nil || fk.Loc != loc || fk.Moved != moved {
 				t.Fatalf("stream tick replied (%d, %v), session's last fix is %+v", loc, moved, fk)
 			}
-			streamSeq = append(streamSeq, fk)
+			streamSeq = append(streamSeq, *fk)
 		}
 
 		// Server pacing: upload only; the wheel fires on wall time and
-		// ticks the session at its last event time.
+		// ticks the session at its last event time, and GET reads the
+		// fix back once the sweep has ticked it.
 		post("/v1/sessions/"+pacedCr.SessionID+"/imu", imuReq{Samples: rd.samples}, http.StatusAccepted)
 		post("/v1/sessions/"+pacedCr.SessionID+"/scan", rd.scan, http.StatusAccepted)
 		clock.Advance(srv.opts.SessionTTL / 100) // well under TTL
 		clock.Advance(4 * time.Second)
 		srv.AdvanceWheel(clock.Now())
-		want := len(batchSeq)
-		waitUntil(t, fmt.Sprintf("round %d pushes", r), func() bool {
-			pushMu.Lock()
-			defer pushMu.Unlock()
-			return len(pushed) >= want
+		waitUntil(t, fmt.Sprintf("round %d paced tick", r), func() bool {
+			return srv.met.pacedTicks.Value() >= int64(r+1)
 		})
-		pushMu.Lock()
-		newPushes := pushed[len(pacedSeq):]
-		pushMu.Unlock()
-		if len(newPushes) > 0 {
-			fk := lastFix(pacedCr.SessionID)
-			p := newPushes[len(newPushes)-1]
-			if len(newPushes) > 1 || fk.T != p.t || fk.Loc != p.loc || fk.Moved != p.moved {
-				t.Fatalf("round %d pushed %+v, session's last fix is %+v", r, newPushes, fk)
-			}
-			pacedSeq = append(pacedSeq, fk)
+		if fk := newestFix(pacedCr.SessionID); fk != nil && (len(pacedSeq) == 0 || *fk != pacedSeq[len(pacedSeq)-1]) {
+			pacedSeq = append(pacedSeq, *fk)
 		}
 	}
 
@@ -299,6 +271,113 @@ func TestPacedServerEquivalence(t *testing.T) {
 	// distance between the fake and the real epoch.
 	if got, sum := srv.met.pacedFixSeconds.Count(), srv.met.pacedFixSeconds.Sum(); got != int64(n) || sum >= 1 {
 		t.Errorf("paced_fix_seconds: %d samples summing to %g s, want %d summing under 1 s", got, sum, n)
+	}
+}
+
+// TestPacedStreamGetsNoPush pins the one fix path of a paced session
+// with a stream attached: a sweep that closes an interval sends nothing
+// down the stream unasked (the connection has one writer, its own frame
+// loop), the fix is read with GET, and a Tick frame on the same
+// connection is answered with a Fix echoing its sequence.
+func TestPacedStreamGetsNoPush(t *testing.T) {
+	sys := buildSys(t)
+	clock := newFakeClock()
+	srv := durableServer(t, sys, Options{Now: clock.Now})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	addr := startStream(t, srv)
+
+	resp, body := postJSON(t, ts, "/v1/sessions", createReq{HeightM: 1.71, WeightKg: 68, Paced: true})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create paced: %d %s", resp.StatusCode, body)
+	}
+	var cr createResp
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd, wr := wire.NewReader(conn, 0), wire.NewWriter(conn)
+	wr.WriteFrame(wire.FrameHello, 0, wire.AppendHello(nil, "paced-no-push", cr.SessionID))
+	if err := wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if fr, err := rd.ReadFrame(); err != nil || fr.Type != wire.FrameHelloAck {
+		t.Fatalf("hello-ack: %v type %d", err, fr.Type)
+	}
+
+	// upload posts the walk's events in [from, to) with one scan per
+	// 3-s interval, and returns the last event time.
+	g, err := sensors.NewGenerator(sys.Config.Sensors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, _ := g.Walk(nil, 0, 12, 1.8, 90, sensors.Device{}, 0, stats.NewRNG(11))
+	upload := func(from, to float64) float64 {
+		t.Helper()
+		var samples []sensors.Sample
+		for _, smp := range walk {
+			if smp.T >= from && smp.T < to {
+				samples = append(samples, smp)
+			}
+		}
+		if resp, body := postJSON(t, ts, "/v1/sessions/"+cr.SessionID+"/imu", imuReq{Samples: samples}); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("imu: %d %s", resp.StatusCode, body)
+		}
+		for st := from + 1.5; st < to; st += 3 {
+			rss := sys.Model.Sample(sys.Plan.LocPos(1+int(st)%sys.Plan.NumLocs()), stats.NewRNG(int64(200+st)))
+			if resp, body := postJSON(t, ts, "/v1/sessions/"+cr.SessionID+"/scan", scanReq{T: st, RSS: rss}); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("scan: %d %s", resp.StatusCode, body)
+			}
+		}
+		return samples[len(samples)-1].T
+	}
+	newest := func() *fixResp {
+		t.Helper()
+		var sr sessionResp
+		getJSON(t, ts, "/v1/sessions/"+cr.SessionID, &sr)
+		return sr.Fix
+	}
+
+	// A sweep closes the first interval.
+	upload(0, 6)
+	clock.Advance(4 * time.Second)
+	srv.AdvanceWheel(clock.Now())
+	waitUntil(t, "the paced tick", func() bool { return srv.met.pacedTicks.Value() >= 1 })
+	swept := newest()
+	if swept == nil {
+		t.Fatal("GET shows no fix after a sweep that closed an interval")
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if fr, err := rd.ReadFrame(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("frame type %d seq %d arrived unasked (err %v), want none", fr.Type, fr.Seq, err)
+	}
+
+	// A client tick on the stream still runs the client-paced core.
+	tickT := upload(6, 12)
+	wr.WriteFrame(wire.FrameTick, 9, wire.AppendTick(nil, tickT))
+	if err := wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := rd.ReadFrame()
+	if err != nil || fr.Type != wire.FrameFix || fr.Seq != 9 {
+		t.Fatalf("tick reply: %v, frame type %d seq %d, want a Fix for seq 9", err, fr.Type, fr.Seq)
+	}
+	ft, loc, moved, err := wire.DecodeFix(fr.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := newest(); got == nil || got.T != ft || got.Loc != loc || got.Moved != moved || got.T <= swept.T {
+		t.Fatalf("tick replied (%v, %d, %v); GET shows %+v after the swept %+v", ft, loc, moved, got, *swept)
 	}
 }
 

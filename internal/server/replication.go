@@ -54,9 +54,9 @@ type replSource struct {
 	s *Server
 }
 
-func (rs replSource) Snapshot() (*checkpoint.Snapshot, error) {
-	snap, _, err := checkpoint.OpenLatest(rs.s.opts.FS, rs.s.store.ckptDir)
-	return snap, err
+func (rs replSource) Snapshot() ([]byte, uint64, error) {
+	payload, seq, _, err := checkpoint.Latest(rs.s.opts.FS, rs.s.store.ckptDir)
+	return payload, seq, err
 }
 
 func (rs replSource) FirstSeq() uint64 { return rs.s.store.log.FirstSeq() }
@@ -74,14 +74,14 @@ func (rs replSource) NewWALReader() *wal.Reader { return rs.s.store.log.NewReade
 // serveRepl runs the leader side of one replication connection whose
 // hello frame already arrived. Dispatched from handleStreamConn; the
 // replica.Leader owns the connection from here.
-func (s *Server) serveRepl(conn net.Conn, rd *wire.Reader, sc *streamConn, fr wire.Frame) {
+func (s *Server) serveRepl(conn net.Conn, rd *wire.Reader, wr *wire.Writer, fr wire.Frame) {
 	if s.store == nil || s.store.log == nil {
-		s.streamFail(sc, fr.Seq, "replication requires durability (-data-dir)")
+		s.streamFail(wr, fr.Seq, "replication requires durability (-data-dir)")
 		return
 	}
 	lastSeq, window, err := wire.DecodeReplHello(fr.Payload)
 	if err != nil {
-		s.streamFail(sc, fr.Seq, "bad repl hello: "+err.Error())
+		s.streamFail(wr, fr.Seq, "bad repl hello: "+err.Error())
 		return
 	}
 	s.met.replConns.Inc()

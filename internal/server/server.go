@@ -216,6 +216,13 @@ type clientReq struct {
 	t       float64
 }
 
+// minRSSdBm and maxRSSdBm bound a physical RSS reading in dBm with a
+// wide margin: rf.NotDetected is -100, and no handset reports above 30.
+const (
+	minRSSdBm = -200
+	maxRSSdBm = 30
+)
+
 // clientError is a data-plane failure. status is the HTTP status the
 // JSON codec answers with; the stream sends the message in an Error
 // frame.
@@ -246,12 +253,18 @@ func (s *Server) serveClient(ss *session, req clientReq, dst []tracker.Fix) ([]t
 			return dst, &clientError{http.StatusBadRequest,
 				fmt.Sprintf("scan has %d APs, deployment has %d", len(sc.RSS), s.numAPs)}
 		}
-		// A NaN or ±Inf reading would turn every candidate probability
-		// into NaN; the binary Scan frame can carry one, JSON cannot.
+		// A NaN or ±Inf reading, which only the binary Scan frame can
+		// carry, or a finite one so far out that every dissimilarity
+		// overflows to +Inf, would turn every candidate probability
+		// into NaN.
 		for _, v := range sc.RSS {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return dst, &clientError{http.StatusBadRequest,
 					fmt.Sprintf("scan has a non-finite RSS reading %v", v)}
+			}
+			if v < minRSSdBm || v > maxRSSdBm {
+				return dst, &clientError{http.StatusBadRequest,
+					fmt.Sprintf("scan has an RSS reading of %v dBm, outside [%v, %v]", v, minRSSdBm, maxRSSdBm)}
 			}
 		}
 	}
@@ -437,9 +450,8 @@ type createReq struct {
 	IntervalSec float64 `json:"interval_sec,omitempty"`
 	// Paced opts the session into server-driven ticking (wheel.go): the
 	// server closes elapsed intervals itself in periodic sweeps, so
-	// the client only uploads data and either polls GET for the last fix
-	// or receives pushed Fix frames on its bound stream. molocd -paced
-	// forces it for every session.
+	// the client only uploads data and polls GET for the last fix.
+	// molocd -paced forces it for every session.
 	Paced bool `json:"paced,omitempty"`
 }
 
@@ -491,7 +503,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	id := s.reg.allocID()
 	ss := newSession(id, tk, now)
 	paced := req.Paced || s.opts.PaceAll
-	ss.paced = paced
 	s.reg.insert(ss)
 	if paced {
 		s.met.pacedSessions.Inc()

@@ -33,36 +33,6 @@ import (
 	"moloc/internal/wire"
 )
 
-// streamConn serializes all writes on one stream connection. Two
-// parties write to a bound connection — the connection's own frame loop
-// (acks, tick replies, errors) and the paced sweep's fix pusher running
-// on a pool worker (wheel.go) — and wire.Writer is not goroutine-safe,
-// so every write goes through this wrapper and flushes under its lock
-// (a frame never sits half-buffered where another writer could
-// interleave with it).
-type streamConn struct {
-	mu sync.Mutex
-	wr *wire.Writer
-}
-
-func newStreamConn(conn net.Conn) *streamConn {
-	return &streamConn{wr: wire.NewWriter(conn)}
-}
-
-func (sc *streamConn) writeFrame(typ uint8, seq uint64, payload []byte) error {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.wr.WriteFrame(typ, seq, payload)
-	return sc.wr.Flush()
-}
-
-func (sc *streamConn) writeAck(seq uint64, window uint32) error {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.wr.WriteAck(seq, window)
-	return sc.wr.Flush()
-}
-
 // streamSession is the server-side resume state of one stream ID: the
 // highest frame sequence acknowledged durable, for dedup and the
 // hello-ack resume point. It outlives connections (reconnects resume
@@ -283,8 +253,10 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	defer conn.Close()
 	s.met.streamConns.Inc()
 
+	// This goroutine is the connection's only writer: every frame the
+	// server sends on it answers a frame read here.
 	rd := wire.NewReader(conn, wire.DefaultMaxPayload)
-	sc := newStreamConn(conn)
+	wr := wire.NewWriter(conn)
 
 	fr, err := rd.ReadFrame()
 	if err != nil {
@@ -294,31 +266,24 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	if fr.Type == wire.FrameReplHello {
 		// A follower is attaching: hand the connection to the replication
 		// service (replication.go) — same listener, different protocol.
-		s.serveRepl(conn, rd, sc, fr)
+		s.serveRepl(conn, rd, wr, fr)
 		return
 	}
 	if fr.Type != wire.FrameHello {
-		s.streamFail(sc, fr.Seq, "expected hello frame")
+		s.streamFail(wr, fr.Seq, "expected hello frame")
 		return
 	}
 	streamID, sessionID, err := wire.DecodeHello(fr.Payload)
 	if err != nil || streamID == "" {
-		s.streamFail(sc, fr.Seq, "bad hello: missing stream id")
+		s.streamFail(wr, fr.Seq, "bad hello: missing stream id")
 		return
 	}
 	var ss *session
 	if sessionID != "" {
 		ss, _ = s.reg.get(sessionID)
 		if ss == nil {
-			s.streamFail(sc, fr.Seq, "unknown session "+sessionID)
+			s.streamFail(wr, fr.Seq, "unknown session "+sessionID)
 			return
-		}
-		// A paced session's server-driven fixes push to the stream that
-		// scoped it (last hello wins); unbind on hangup so the wheel
-		// stops writing into a dead connection.
-		if ss.paced {
-			ss.bindPush(sc)
-			defer ss.unbindPush(sc)
 		}
 	}
 	now := s.opts.Now()
@@ -329,11 +294,12 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	}
 	// The hello-ack's sequence is the resume point: the client drops
 	// every pending frame at or below it and resends the rest.
-	if err := sc.writeFrame(wire.FrameHelloAck, st.acked(), wire.AppendWindow(nil, s.streamWindow())); err != nil {
+	wr.WriteFrame(wire.FrameHelloAck, st.acked(), wire.AppendWindow(nil, s.streamWindow()))
+	if err := wr.Flush(); err != nil {
 		s.met.streamErrors.Inc()
 		return
 	}
-	if err := s.serveStreamFrames(rd, sc, st, ss); err != nil {
+	if err := s.serveStreamFrames(rd, wr, st, ss); err != nil {
 		s.met.streamErrors.Inc()
 	}
 }
@@ -341,10 +307,11 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 // streamFail answers a failed frame — a protocol violation, a refused
 // request, or a shed — with an error frame and gives up on the
 // connection.
-func (s *Server) streamFail(sc *streamConn, seq uint64, msg string) {
+func (s *Server) streamFail(wr *wire.Writer, seq uint64, msg string) {
 	s.met.streamErrors.Inc()
+	wr.WriteError(seq, msg)
 	//lint:ignore errdrop the connection is being abandoned either way
-	_ = sc.writeFrame(wire.FrameError, seq, []byte(msg))
+	_ = wr.Flush()
 }
 
 // streamScratch is the per-connection reused decode state: observation,
@@ -373,7 +340,7 @@ type streamScratch struct {
 // commit once — is what batches a burst under a single fsync.
 //
 //moloc:durable
-func (s *Server) serveStreamFrames(rd *wire.Reader, sc *streamConn, st *streamSession, ss *session) error {
+func (s *Server) serveStreamFrames(rd *wire.Reader, wr *wire.Writer, st *streamSession, ss *session) error {
 	var (
 		scratch    streamScratch
 		ackSeq     uint64 // highest frame sequence to acknowledge at the next commit
@@ -400,7 +367,7 @@ func (s *Server) serveStreamFrames(rd *wire.Reader, sc *streamConn, st *streamSe
 				ackSeq = max(ackSeq, fr.Seq, st.acked())
 			}
 		case wire.FrameIMUBatch, wire.FrameScan, wire.FrameTick:
-			err = s.streamClient(ss, sc, fr, &scratch)
+			err = s.streamClient(ss, wr, fr, &scratch)
 		default:
 			err = fmt.Errorf("unexpected frame type %d", fr.Type)
 		}
@@ -415,13 +382,14 @@ func (s *Server) serveStreamFrames(rd *wire.Reader, sc *streamConn, st *streamSe
 			}
 			st.setAcked(ackSeq, s.opts.Now())
 			s.met.streamAcks.Inc()
-			if err := sc.writeAck(ackSeq, s.streamWindow()); err != nil {
+			wr.WriteAck(ackSeq, s.streamWindow())
+			if err := wr.Flush(); err != nil {
 				return err
 			}
 			ackSeq, ackWALSeq = 0, 0
 		}
 		if err != nil {
-			s.streamFail(sc, fr.Seq, err.Error())
+			s.streamFail(wr, fr.Seq, err.Error())
 			return err
 		}
 	}
@@ -468,7 +436,7 @@ func (s *Server) acceptStreamBatch(st *streamSession, fr wire.Frame, scratch *st
 // decodes an IMU, Scan or Tick frame into the transport-neutral request
 // and answers a Tick with FrameFix (the newest fix) or FrameNoFix,
 // echoing the frame's sequence.
-func (s *Server) streamClient(ss *session, sc *streamConn, fr wire.Frame, scratch *streamScratch) error {
+func (s *Server) streamClient(ss *session, wr *wire.Writer, fr wire.Frame, scratch *streamScratch) error {
 	if ss == nil {
 		return errors.New("data frame on a stream with no tracking session")
 	}
@@ -506,8 +474,10 @@ func (s *Server) streamClient(ss *session, sc *streamConn, fr wire.Frame, scratc
 		return err
 	}
 	if len(fixes) == 0 {
-		return sc.writeFrame(wire.FrameNoFix, fr.Seq, nil)
+		wr.WriteFrame(wire.FrameNoFix, fr.Seq, nil)
+	} else {
+		fix := fixes[len(fixes)-1]
+		wr.WriteFrame(wire.FrameFix, fr.Seq, wire.AppendFix(nil, fix.T, fix.Loc, fix.Moved))
 	}
-	fix := fixes[len(fixes)-1]
-	return sc.writeFrame(wire.FrameFix, fr.Seq, wire.AppendFix(nil, fix.T, fix.Loc, fix.Moved))
+	return wr.Flush()
 }

@@ -265,10 +265,12 @@ func TestStreamSessionTracking(t *testing.T) {
 }
 
 // TestStreamRefusesNonFiniteScan drives the raw protocol: a Scan frame
-// carrying a NaN or +Inf RSS reading is answered with an Error frame
-// instead of reaching the tracker, where it would turn every candidate
-// probability into NaN. The session stays usable: a valid scan and tick
-// on a fresh connection return a fix.
+// carrying a NaN or +Inf RSS reading, or a finite one outside the
+// physical dBm window, is answered with an Error frame instead of
+// reaching the tracker, where it would turn every candidate probability
+// into NaN; POST /scan answers the out-of-window reading with a 400.
+// The session stays usable: a valid scan and tick on a fresh connection
+// return a fix.
 func TestStreamRefusesNonFiniteScan(t *testing.T) {
 	sys := buildSys(t)
 	srv := durableServer(t, sys, Options{})
@@ -332,6 +334,29 @@ func TestStreamRefusesNonFiniteScan(t *testing.T) {
 		if fr.Type != wire.FrameError || fr.Seq != 7 || !strings.Contains(string(fr.Payload), "non-finite") {
 			t.Fatalf("scan with RSS %v: frame type %d seq %d %q, want an Error frame for seq 7",
 				bad, fr.Type, fr.Seq, fr.Payload)
+		}
+	}
+	// A finite reading outside the physical dBm window overflows every
+	// dissimilarity just the same; both transports refuse it.
+	for _, bad := range []float64{-1e200, 1e200, minRSSdBm - 1, maxRSSdBm + 1} {
+		scan := append([]float64(nil), rss...)
+		scan[len(scan)/2] = bad
+		fr := walk(scan)
+		if fr.Type != wire.FrameError || fr.Seq != 7 || !strings.Contains(string(fr.Payload), "outside") {
+			t.Fatalf("scan with RSS %v: frame type %d seq %d %q, want an Error frame for seq 7",
+				bad, fr.Type, fr.Seq, fr.Payload)
+		}
+		resp, body := postJSON(t, ts, "/v1/sessions/"+created.SessionID+"/scan", scanReq{T: 1, RSS: scan})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "outside") {
+			t.Fatalf("POST /scan with RSS %v: status %d body %s, want 400", bad, resp.StatusCode, body)
+		}
+	}
+	// The window's own edges are readings, not refusals.
+	for _, edge := range []float64{minRSSdBm, maxRSSdBm} {
+		scan := append([]float64(nil), rss...)
+		scan[len(scan)/2] = edge
+		if resp, body := postJSON(t, ts, "/v1/sessions/"+created.SessionID+"/scan", scanReq{T: 1, RSS: scan}); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST /scan with RSS %v: status %d body %s, want 202", edge, resp.StatusCode, body)
 		}
 	}
 	fr := walk(rss)

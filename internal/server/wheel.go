@@ -7,8 +7,7 @@
 // per DefaultWheelSlotDur) queues one sweep per worker. A sweep ticks
 // every entry whose deadline has passed, loading the compiled motion
 // index once (tracker.TickBatchShared) and reusing the worker's fix
-// buffer and frame-payload buffer for every session, so the marginal
-// cost of a paced session's tick is the tracker work itself — no HTTP,
+// buffer for every session, so the marginal cost of a paced session's tick is the tracker work itself — no HTTP,
 // no JSON, no per-session snapshot load, no per-session allocation.
 //
 // A sweep visits all of its worker's entries and a worker runs its
@@ -24,10 +23,6 @@
 // server-paced fixes bit-identical to the same event sequence driven by
 // client ticks (TestPacedEquivalence pins this). The wall-clock
 // deadlines decide only *when* the server checks, at sweep granularity.
-//
-// Fix delivery: fixes are pushed as unsolicited Fix frames (sequence 0)
-// to the session's bound stream connection when one exists; HTTP-only
-// clients poll GET /v1/sessions/{id} for the last fix.
 package server
 
 import (
@@ -38,7 +33,6 @@ import (
 
 	"moloc/internal/motiondb"
 	"moloc/internal/tracker"
-	"moloc/internal/wire"
 )
 
 // pacedEntry is one paced session's place on its worker's list. Only
@@ -50,12 +44,10 @@ type pacedEntry struct {
 }
 
 // pacedScratch is one worker's reused tick state: the fix destination
-// buffer and the pushed-frame payload buffer.
+// buffer.
 type pacedScratch struct {
 	//moloc:reuse
 	fixes []tracker.Fix
-	//moloc:reuse
-	payload []byte
 }
 
 // pacedList is one pool worker's paced sessions. entries and sc are
@@ -176,11 +168,12 @@ func (s *Server) sweepPaced(l *pacedList, now time.Time) {
 	l.entries = keep
 }
 
-// tickOnePaced ticks one paced session at its last event time and
-// pushes any resulting fixes to its bound stream. alive=false means the
-// session was evicted and must leave the list. A panicking tracker is
-// contained to its own session — counted, fixes discarded, pacing kept
-// — mirroring the per-request recovery on the client-paced path.
+// tickOnePaced ticks one paced session at its last event time; its
+// client reads the newest fix with GET /v1/sessions/{id}. alive=false
+// means the session was evicted and must leave the list. A panicking
+// tracker is contained to its own session — counted, fixes discarded,
+// pacing kept — mirroring the per-request recovery on the client-paced
+// path.
 func (s *Server) tickOnePaced(e *pacedEntry, cmp *motiondb.Compiled, fpOnly bool,
 	sc *pacedScratch, fired time.Time) (alive bool) {
 	defer func() {
@@ -190,7 +183,7 @@ func (s *Server) tickOnePaced(e *pacedEntry, cmp *motiondb.Compiled, fpOnly bool
 		}
 	}()
 	sc.fixes = sc.fixes[:0]
-	push, ok := e.ss.withTrackerPaced(func(tk *tracker.Tracker) {
+	ok := e.ss.withTrackerPaced(func(tk *tracker.Tracker) {
 		tk.SetFingerprintOnly(fpOnly)
 		if ev, started := tk.LastEventTime(); started {
 			sc.fixes = tk.TickBatchShared(cmp, ev, sc.fixes)
@@ -200,31 +193,11 @@ func (s *Server) tickOnePaced(e *pacedEntry, cmp *motiondb.Compiled, fpOnly bool
 		return false
 	}
 	s.met.pacedTicks.Inc()
-	if len(sc.fixes) == 0 {
-		return true
-	}
-	s.met.pacedFixSeconds.Observe(s.opts.Now().Sub(fired).Seconds())
-	s.countFixes(sc.fixes)
-	if push != nil {
-		s.pushFixes(push, sc)
+	if len(sc.fixes) > 0 {
+		s.met.pacedFixSeconds.Observe(s.opts.Now().Sub(fired).Seconds())
+		s.countFixes(sc.fixes)
 	}
 	return true
-}
-
-// pushFixes writes the sweep's fixes to a bound stream connection as
-// unsolicited Fix frames (sequence 0 — never confused with a tick
-// reply, whose sequence echoes the client's). A failed push is counted
-// and abandoned; the connection's own frame loop notices the broken
-// conn and tears it down, unbinding the pusher.
-func (s *Server) pushFixes(push *streamConn, sc *pacedScratch) {
-	for i := range sc.fixes {
-		sc.payload = wire.AppendFix(sc.payload[:0], sc.fixes[i].T, sc.fixes[i].Loc, sc.fixes[i].Moved)
-		if err := push.writeFrame(wire.FrameFix, 0, sc.payload); err != nil {
-			s.met.pacedPushErrors.Inc()
-			return
-		}
-		s.met.pacedPushes.Inc()
-	}
 }
 
 // pacedInterval converts a tracker interval in seconds to the pacing

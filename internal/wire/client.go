@@ -35,14 +35,6 @@ type ClientOptions struct {
 	MaxPending int
 	// Dial overrides net.Dial, e.g. for in-process benchmarks.
 	Dial func() (net.Conn, error)
-	// OnFix receives server-pushed fixes: when the scoped session was
-	// created with "paced":true, the server ticks it on its own wheel
-	// and pushes resulting fixes as unsolicited Fix frames (sequence 0,
-	// never confused with a Tick reply). Called from the client's reader
-	// goroutine without the client lock held — the callback may call
-	// back into the client but must not block for long (it stalls ack
-	// processing for this connection). Nil drops pushed fixes.
-	OnFix func(t float64, loc int, moved bool)
 }
 
 // pendingFrame is one sent-but-unacked observation batch. The payload
@@ -229,7 +221,8 @@ func (c *Client) redialLocked() error {
 
 // readLoop drains server frames for one connection generation: acks
 // advance the window and recycle pending buffers; fix/no-fix frames
-// answer waiting ticks. It exits when its connection dies or the client
+// answer waiting ticks, and one whose sequence matches no waiting tick
+// is ignored. It exits when its connection dies or the client
 // closes, and is joined by Close through the WaitGroup.
 func (c *Client) readLoop(conn net.Conn, rd *Reader, gen int) {
 	defer c.wg.Done()
@@ -260,19 +253,6 @@ func (c *Client) readLoop(conn net.Conn, rd *Reader, gen int) {
 				delete(c.ticks, fr.Seq)
 				t, loc, moved, derr := DecodeFix(fr.Payload)
 				ch <- tickReply{ok: true, t: t, loc: loc, moved: moved, err: derr}
-			} else if c.opts.OnFix != nil {
-				// Unsolicited fix: a server-paced push, not a tick reply.
-				// Deliver outside the lock so the callback can use the
-				// client without deadlocking.
-				if t, loc, moved, derr := DecodeFix(fr.Payload); derr == nil {
-					c.mu.Unlock()
-					c.opts.OnFix(t, loc, moved)
-					c.mu.Lock()
-					if c.closed || gen != c.connGen {
-						c.mu.Unlock()
-						return
-					}
-				}
 			}
 		case FrameNoFix:
 			if ch, ok := c.ticks[fr.Seq]; ok {
