@@ -47,11 +47,10 @@
 // leader acknowledged lost.
 //
 // -paced flips every session to server pacing: instead of clients
-// POSTing /tick, the server ticks each session at its tracker
-// interval: every -wheel-slot period each worker sweeps its paced
-// sessions and ticks the due ones off one motion-index snapshot load.
-// Clients read paced fixes with GET /v1/sessions/{id}; the stream
-// listener sends none unasked. Individual sessions opt in with
+// POSTing /tick, each scan upload (POST /scan or a stream Scan frame)
+// ticks its session at the session's last event time, on the upload's
+// worker after the upload is answered. Clients read paced fixes with
+// GET /v1/sessions/{id}; the stream listener sends none unasked. Individual sessions opt in with
 // {"paced":true} at create regardless of the flag. -shards sets the
 // session-registry stripe count (default: one per worker).
 //
@@ -105,7 +104,6 @@ func run() error {
 		workers     = flag.Int("workers", 0, "data-plane worker pool size (0 = GOMAXPROCS)")
 		shards      = flag.Int("shards", 0, "session-registry lock stripes (0 = workers)")
 		paced       = flag.Bool("paced", false, "server-pace every session: the server ticks it instead of client tick requests")
-		wheelSlot   = flag.Duration("wheel-slot", server.DefaultWheelSlotDur, "period of the server-paced sweeps; shorter periods tick sessions sooner after their intervals end, at more sweeps")
 		gate        = flag.Bool("gate", false, "reachability-gate steady-state candidate scans (per-fix cost bounded by motion-DB adjacency, not map size)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		retrain     = flag.Duration("retrain", server.DefaultRetrainInterval, "online-retrain period for queued observations")
@@ -128,7 +126,6 @@ func run() error {
 		Workers:         *workers,
 		Shards:          *shards,
 		PaceAll:         *paced,
-		WheelSlotDur:    *wheelSlot,
 		Gate:            *gate,
 		RetrainInterval: *retrain,
 		DataDir:         *dataDir,

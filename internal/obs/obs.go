@@ -153,13 +153,6 @@ var LatencyBuckets = []float64{
 // distributions such as candidate-set sizes or batch lengths.
 var SizeBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55}
 
-// BytesBuckets are the default bounds for byte-volume distributions
-// such as per-operation heap allocations, spanning an allocation-free
-// fast path (first bucket) to multi-megabyte outliers.
-var BytesBuckets = []float64{
-	0, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20,
-}
-
 // GaugeFunc reports an instantaneous level (a queue depth, a pool
 // size). Gauges are callback-based: nothing is recorded on the hot
 // path; the function is evaluated only when the registry snapshots, so

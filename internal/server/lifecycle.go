@@ -45,11 +45,11 @@ const (
 	// connection is advertised (stream.go): at most this many
 	// unacknowledged frames may be in flight per stream.
 	DefaultStreamWindow = 32
-	// DefaultWheelSlotDur is the period of the server-paced sweeps
-	// (wheel.go): paced sessions are checked for due intervals at this
-	// granularity. Finer than any sane tracker interval (3 s in the
-	// paper), so one sweep ticks many sessions; fine enough that pacing
-	// adds at most a quarter second to a fix's age.
+	// DefaultWheelSlotDur was the period of the retired paced sweep; a
+	// paced session now ticks on its own scan upload (serveClient) and
+	// nothing in the server reads this. It stays only because perfbench
+	// pins city-paced's session creates to its phase (perfbench/city.go),
+	// which a later benchmark change removes.
 	DefaultWheelSlotDur = 250 * time.Millisecond
 	// DefaultReplLagMax is how far a follower may trail its leader —
 	// measured as time since it last covered the leader's published tail
@@ -98,9 +98,6 @@ type Options struct {
 	// PaceAll forces every session onto server-paced ticking (molocd
 	// -paced), as if each create had sent "paced":true.
 	PaceAll bool
-	// WheelSlotDur is the period of the server-paced sweeps; zero
-	// selects DefaultWheelSlotDur.
-	WheelSlotDur time.Duration
 	// Gate enables reachability gating in every session's localizer
 	// (localizer.Config.Gate): steady-state candidate scans are
 	// restricted to the locations one motion-DB hop from the previous
@@ -184,9 +181,6 @@ func (o Options) withDefaults() Options {
 	if o.Shards < 1 {
 		o.Shards = o.Workers
 	}
-	if o.WheelSlotDur <= 0 {
-		o.WheelSlotDur = DefaultWheelSlotDur
-	}
 	if o.RetrainInterval <= 0 {
 		o.RetrainInterval = DefaultRetrainInterval
 	}
@@ -209,10 +203,14 @@ func (o Options) withDefaults() Options {
 }
 
 // session is one live tracking session. The fields after mu are
-// guarded by it; id and created are immutable.
+// guarded by it; id, created and paced are immutable once the session
+// is in the registry.
 type session struct {
 	id      string
 	created time.Time
+	// paced sessions are ticked by the server on each scan upload
+	// (serveClient) instead of by client tick requests.
+	paced bool
 
 	mu         sync.Mutex
 	tk         *tracker.Tracker
@@ -236,22 +234,6 @@ func (ss *session) withTracker(now time.Time, fn func(tk *tracker.Tracker)) bool
 		return false
 	}
 	ss.lastActive = now
-	fn(ss.tk)
-	return true
-}
-
-// withTrackerPaced is withTracker for the server-paced sweeps: it
-// runs fn under the session lock but does NOT record data-plane
-// activity — server pacing must not keep an abandoned session alive
-// past its idle TTL; only client uploads do that. alive is false for
-// an evicted session, which tells the sweep to drop the entry instead
-// of rescheduling it.
-func (ss *session) withTrackerPaced(fn func(tk *tracker.Tracker)) (alive bool) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.evicted {
-		return false
-	}
 	fn(ss.tk)
 	return true
 }
@@ -298,14 +280,13 @@ func (ss *session) close() {
 	ss.evicted = true
 }
 
-// Start launches the background loops: the expiry sweeper, the online
-// retrainer (retrain.go), and the paced sweep loop (wheel.go).
-// It is idempotent; Close stops all three. Servers embedded in tests
-// may skip Start and drive sweepOnce, RetrainNow, or AdvanceWheel
-// directly.
+// Start launches the background loops: the expiry sweeper and the
+// online retrainer (retrain.go). It is idempotent; Close stops both.
+// Servers embedded in tests may skip Start and drive sweepOnce or
+// RetrainNow directly.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
-		n := 3
+		n := 2
 		if s.follower != nil {
 			// Follower mode adds the replication client and the staleness
 			// monitor (replication.go).
@@ -314,7 +295,6 @@ func (s *Server) Start() {
 		s.wg.Add(n)
 		go s.sweepLoop()
 		go s.retrainLoop()
-		go s.paceLoop()
 		if s.follower != nil {
 			go s.runFollower()
 			go s.replMonitor()

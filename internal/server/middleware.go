@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/metrics"
+	"strconv"
 	"sync"
 	"time"
 
@@ -29,7 +29,6 @@ type serverMetrics struct {
 	sessionsRejected *obs.Counter
 	tickSeconds      *obs.Histogram
 	fixSeconds       *obs.Histogram
-	tickAllocBytes   *obs.Histogram
 	candidateSetSize *obs.Histogram
 
 	// Online-training metrics (retrain.go).
@@ -70,19 +69,17 @@ type serverMetrics struct {
 	replSnapshots  *obs.Counter
 	promotions     *obs.Counter
 
-	// Server-paced metrics (wheel.go). pacedTicks versus
-	// pacedSnapshotLoads is the batching ratio: how many session ticks
-	// each per-worker sweep's snapshot load amortized over.
-	pacedSessions      *obs.Counter
-	pacedTicks         *obs.Counter
-	pacedSnapshotLoads *obs.Counter
-	pacedFixSeconds    *obs.Histogram
+	// Server-paced metrics (serveClient): sessions created paced, ticks
+	// run on their scan uploads, and fix freshness, the time from an
+	// upload's arrival to the paced fix it closed.
+	pacedSessions   *obs.Counter
+	pacedTicks      *obs.Counter
+	pacedFixSeconds *obs.Histogram
 
 	// Worker-pool sheds (pool.go): the total, and its split by transport.
 	poolShed   *obs.Counter
 	shedHTTP   *obs.Counter
 	shedStream *obs.Counter
-	shedPaced  *obs.Counter
 }
 
 func newServerMetrics() *serverMetrics {
@@ -95,7 +92,6 @@ func newServerMetrics() *serverMetrics {
 		sessionsRejected: reg.Counter("sessions_rejected"),
 		tickSeconds:      reg.Histogram("tick_seconds", obs.LatencyBuckets),
 		fixSeconds:       reg.Histogram("fix_seconds", obs.LatencyBuckets),
-		tickAllocBytes:   reg.Histogram("tick_alloc_bytes", obs.BytesBuckets),
 		candidateSetSize: reg.Histogram("candidate_set_size", obs.SizeBuckets),
 
 		observationsIn:      reg.Counter("observations_in"),
@@ -130,15 +126,13 @@ func newServerMetrics() *serverMetrics {
 		replSnapshots:  reg.Counter("repl_snapshots_installed"),
 		promotions:     reg.Counter("promotions"),
 
-		pacedSessions:      reg.Counter("paced_sessions"),
-		pacedTicks:         reg.Counter("paced_ticks"),
-		pacedSnapshotLoads: reg.Counter("paced_snapshot_loads"),
-		pacedFixSeconds:    reg.Histogram("paced_fix_seconds", obs.LatencyBuckets),
+		pacedSessions:   reg.Counter("paced_sessions"),
+		pacedTicks:      reg.Counter("paced_ticks"),
+		pacedFixSeconds: reg.Histogram("paced_fix_seconds", obs.LatencyBuckets),
 
 		poolShed:   reg.Counter("pool_shed_total"),
 		shedHTTP:   reg.Counter("pool_shed{transport=http}"),
 		shedStream: reg.Counter("pool_shed{transport=stream}"),
-		shedPaced:  reg.Counter("pool_shed{transport=paced}"),
 	}
 }
 
@@ -149,28 +143,15 @@ func (s *Server) countShed(byTransport *obs.Counter) {
 	s.met.poolShed.Inc()
 }
 
-// allocSamples recycles the runtime/metrics sample buffers used to
-// measure per-tick heap allocation, so the measurement itself stays
-// allocation-free.
-var allocSamples = sync.Pool{
-	New: func() interface{} {
-		s := make([]metrics.Sample, 1)
-		s[0].Name = "/gc/heap/allocs:bytes"
-		return &s
-	},
-}
-
-// heapAllocBytes reads the process's cumulative heap-allocation
-// counter. Deltas around a code region approximate its allocation
-// volume; concurrent goroutines add noise, which is acceptable for a
-// histogram whose job is to catch the fast path regressing from the
-// zero bucket.
-func heapAllocBytes() uint64 {
-	sp := allocSamples.Get().(*[]metrics.Sample)
-	metrics.Read(*sp)
-	v := (*sp)[0].Value.Uint64()
-	allocSamples.Put(sp)
-	return v
+// registerPoolGauges exposes the per-worker queue depths as callback
+// gauges: evaluated only when /v1/metricsz snapshots, costing the
+// workers nothing.
+func (s *Server) registerPoolGauges() {
+	for wi := range s.pool.queues {
+		w := wi
+		s.met.reg.Gauge("worker_queue_depth{worker="+strconv.Itoa(w)+"}",
+			func() int64 { return int64(s.pool.queueDepth(w)) })
+	}
 }
 
 // routeMetrics is one route's instrumentation, resolved once in

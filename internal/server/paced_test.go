@@ -17,14 +17,15 @@ import (
 	"testing"
 	"time"
 
+	"moloc/internal/core"
 	"moloc/internal/sensors"
 	"moloc/internal/stats"
 	"moloc/internal/wire"
 )
 
-// waitUntil polls cond for up to three seconds — paced sweeps run
-// asynchronously on pool workers, so assertions after AdvanceWheel need
-// to wait for the queued sweeps to land.
+// waitUntil polls cond for up to three seconds — stream frames are
+// served asynchronously to their sender, so assertions on what a
+// stream's Scan frame ticked need to wait for the frame to land.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -48,9 +49,9 @@ func keyOf(f fixResp) fixKey { return fixKey{f.T, f.Loc, f.Moved, f.Mode} }
 
 // TestPacedServerEquivalence pins transport equivalence on one walk:
 // per-interval /tick, per-interval /batch, one multi-interval /batch,
-// stream Tick frames and the server-paced wheel (fixes read back over
-// GET after each sweep) must all produce the same (t, loc, moved,
-// mode) sequence, because they are codecs over one data-plane core. A
+// stream Tick frames and server pacing (fixes read back over GET after
+// each /scan) must all produce the same (t, loc, moved, mode)
+// sequence, because they are codecs over one data-plane core. A
 // late /tick closing every interval at once must count every fix it
 // produced in fixes{mode=…} and candidate_set_size, and the stream's
 // ticks must be instrumented like the HTTP ones.
@@ -65,7 +66,7 @@ func TestPacedServerEquivalence(t *testing.T) {
 
 	// The trace: a straight walk, one scan per 3-s interval. Each round
 	// uploads one interval of events and ticks at its last event time —
-	// the time the wheel ticks a paced session at.
+	// the time a paced session's scan upload ticks it at.
 	const rounds = 6
 	g, err := sensors.NewGenerator(sys.Config.Sensors)
 	if err != nil {
@@ -187,17 +188,10 @@ func TestPacedServerEquivalence(t *testing.T) {
 			streamSeq = append(streamSeq, *fk)
 		}
 
-		// Server pacing: upload only; the wheel fires on wall time and
-		// ticks the session at its last event time, and GET reads the
-		// fix back once the sweep has ticked it.
+		// Server pacing: upload only; the /scan ticks the session at
+		// its last event time, and GET reads the fix back.
 		post("/v1/sessions/"+pacedCr.SessionID+"/imu", imuReq{Samples: rd.samples}, http.StatusAccepted)
 		post("/v1/sessions/"+pacedCr.SessionID+"/scan", rd.scan, http.StatusAccepted)
-		clock.Advance(srv.opts.SessionTTL / 100) // well under TTL
-		clock.Advance(4 * time.Second)
-		srv.AdvanceWheel(clock.Now())
-		waitUntil(t, fmt.Sprintf("round %d paced tick", r), func() bool {
-			return srv.met.pacedTicks.Value() >= int64(r+1)
-		})
 		if fk := newestFix(pacedCr.SessionID); fk != nil && (len(pacedSeq) == 0 || *fk != pacedSeq[len(pacedSeq)-1]) {
 			pacedSeq = append(pacedSeq, *fk)
 		}
@@ -223,7 +217,7 @@ func TestPacedServerEquivalence(t *testing.T) {
 	}
 	for name, seq := range map[string][]fixKey{
 		"per-interval /tick": tickSeq, "per-interval /batch": batchSeq,
-		"stream Tick": streamSeq, "paced wheel": pacedSeq,
+		"stream Tick": streamSeq, "paced": pacedSeq,
 	} {
 		if !reflect.DeepEqual(seq, multiSeq) {
 			t.Errorf("%s fixes differ from the multi-interval /batch:\n got %+v\nwant %+v", name, seq, multiSeq)
@@ -266,19 +260,26 @@ func TestPacedServerEquivalence(t *testing.T) {
 		// whole-trace ticks.
 		t.Errorf("tick_seconds count = %d, want %d", got, want)
 	}
-	// paced_fix_seconds is measured on the server's clock, which the
-	// fake clock holds still during a sweep: every sample is ~0, not the
-	// distance between the fake and the real epoch.
+	// Each paced /scan ticked once, and no /imu did. paced_fix_seconds
+	// is measured on the wall clock, not the fake one: every sample is
+	// an upload's own service time, not the distance between the fake
+	// and the real epoch.
+	if got := srv.met.pacedTicks.Value(); got != rounds {
+		t.Errorf("paced_ticks = %d after %d paced /scan uploads, want one each", got, rounds)
+	}
 	if got, sum := srv.met.pacedFixSeconds.Count(), srv.met.pacedFixSeconds.Sum(); got != int64(n) || sum >= 1 {
 		t.Errorf("paced_fix_seconds: %d samples summing to %g s, want %d summing under 1 s", got, sum, n)
 	}
 }
 
 // TestPacedStreamGetsNoPush pins the one fix path of a paced session
-// with a stream attached: a sweep that closes an interval sends nothing
-// down the stream unasked (the connection has one writer, its own frame
-// loop), the fix is read with GET, and a Tick frame on the same
-// connection is answered with a Fix echoing its sequence.
+// with a stream attached: a scan upload that closes an interval sends
+// nothing down the stream unasked (the connection has one writer, its
+// own frame loop), and the fix is read with GET. A Tick frame on the
+// same connection still runs the client-paced core, but the scan
+// uploads have already closed every interval elapsed at the session's
+// last event, so a Tick at that time closes nothing and is answered
+// with a NoFix echoing its sequence.
 func TestPacedStreamGetsNoPush(t *testing.T) {
 	sys := buildSys(t)
 	clock := newFakeClock()
@@ -343,14 +344,12 @@ func TestPacedStreamGetsNoPush(t *testing.T) {
 		return sr.Fix
 	}
 
-	// A sweep closes the first interval.
+	// The first scan closes the first interval; the second, whose
+	// interval is still open at the last event, closes nothing.
 	upload(0, 6)
-	clock.Advance(4 * time.Second)
-	srv.AdvanceWheel(clock.Now())
-	waitUntil(t, "the paced tick", func() bool { return srv.met.pacedTicks.Value() >= 1 })
-	swept := newest()
-	if swept == nil {
-		t.Fatal("GET shows no fix after a sweep that closed an interval")
+	first := newest()
+	if first == nil || first.T != 3 {
+		t.Fatalf("GET shows %+v after the uploads of [0, 6), want the fix closing [0, 3)", first)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -359,8 +358,13 @@ func TestPacedStreamGetsNoPush(t *testing.T) {
 		t.Fatalf("frame type %d seq %d arrived unasked (err %v), want none", fr.Type, fr.Seq, err)
 	}
 
-	// A client tick on the stream still runs the client-paced core.
+	// The next uploads' scans close [3, 6) and [6, 9); a stream Tick at
+	// their last event time then finds nothing left to close.
 	tickT := upload(6, 12)
+	closed := newest()
+	if closed == nil || closed.T != 9 {
+		t.Fatalf("GET shows %+v after the uploads of [6, 12), want the fix closing [6, 9)", closed)
+	}
 	wr.WriteFrame(wire.FrameTick, 9, wire.AppendTick(nil, tickT))
 	if err := wr.Flush(); err != nil {
 		t.Fatal(err)
@@ -369,109 +373,235 @@ func TestPacedStreamGetsNoPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr, err := rd.ReadFrame()
-	if err != nil || fr.Type != wire.FrameFix || fr.Seq != 9 {
-		t.Fatalf("tick reply: %v, frame type %d seq %d, want a Fix for seq 9", err, fr.Type, fr.Seq)
+	if err != nil || fr.Type != wire.FrameNoFix || fr.Seq != 9 {
+		t.Fatalf("tick reply: %v, frame type %d seq %d, want a NoFix for seq 9", err, fr.Type, fr.Seq)
 	}
-	ft, loc, moved, err := wire.DecodeFix(fr.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := newest(); got == nil || got.T != ft || got.Loc != loc || got.Moved != moved || got.T <= swept.T {
-		t.Fatalf("tick replied (%v, %d, %v); GET shows %+v after the swept %+v", ft, loc, moved, got, *swept)
+	if got := newest(); got == nil || keyOf(*got) != keyOf(*closed) {
+		t.Fatalf("GET shows %+v after a Tick that closed nothing, want %+v", got, *closed)
 	}
 }
 
-// TestPacedBatchAmortizesSnapshotLoads pins the whole point of the
-// per-worker sweep: K paced sessions due at one advance cost one RCU
-// snapshot load per worker sweep, not one per session, and each
-// session's tracker adopts the shared view exactly once.
-func TestPacedBatchAmortizesSnapshotLoads(t *testing.T) {
+// createPacedSession creates a paced session with the default interval.
+func createPacedSession(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, body := postJSON(t, ts, "/v1/sessions", createReq{HeightM: 1.71, WeightKg: 68, Paced: true})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create paced: %d %s", resp.StatusCode, body)
+	}
+	var cr createResp
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	return cr.SessionID
+}
+
+// pacedTrace is a straight walk for the paced tests: its IMU samples
+// over a time range, and one scan at the middle of each 3-s interval.
+type pacedTrace struct {
+	walk []sensors.Sample
+	sys  *core.System
+}
+
+func newPacedTrace(t *testing.T, sys *core.System, secs float64) pacedTrace {
+	t.Helper()
+	g, err := sensors.NewGenerator(sys.Config.Sensors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, _ := g.Walk(nil, 0, secs, 1.8, 90, sensors.Device{}, 0, stats.NewRNG(7))
+	return pacedTrace{walk: walk, sys: sys}
+}
+
+// upload returns the samples in [from, to), the scans of the intervals
+// in it, and the newest event time among them.
+func (p pacedTrace) upload(from, to float64) ([]sensors.Sample, []scanReq, float64) {
+	var samples []sensors.Sample
+	for _, smp := range p.walk {
+		if smp.T >= from && smp.T < to {
+			samples = append(samples, smp)
+		}
+	}
+	var scans []scanReq
+	for st := from + 1.5; st < to; st += 3 {
+		loc := 1 + int(st)%p.sys.Plan.NumLocs()
+		scans = append(scans, scanReq{T: st, RSS: p.sys.Model.Sample(p.sys.Plan.LocPos(loc), stats.NewRNG(int64(300+st)))})
+	}
+	return samples, scans, math.Max(samples[len(samples)-1].T, scans[len(scans)-1].T)
+}
+
+// sameTrackerState reports whether two session views show the same
+// tracker counters and newest fix.
+func sameTrackerState(a, b sessionResp) bool {
+	if a.Stats != b.Stats || (a.Fix == nil) != (b.Fix == nil) {
+		return false
+	}
+	return a.Fix == nil || keyOf(*a.Fix) == keyOf(*b.Fix)
+}
+
+// TestPacedUploadShapes pins server pacing's scan rule against client
+// ticks. For each upload shape, a client-paced session is fed a group
+// of uploads and ticked at the group's newest event time, and a paced
+// session is fed the same group; a GET on the paced session sent as
+// soon as its last request returns must show the client's tracker
+// state and newest fix. IMU spanning two intervals ahead of their
+// scans closes nothing early, and each /scan ticks exactly once.
+func TestPacedUploadShapes(t *testing.T) {
+	sys := buildSys(t)
+	srv := durableServer(t, sys, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	trace := newPacedTrace(t, sys, 18)
+
+	type group struct {
+		from, to  float64
+		scanFirst bool
+	}
+	perInterval := func(scanFirst bool) []group {
+		var gs []group
+		for from := 0.0; from < 18; from += 3 {
+			gs = append(gs, group{from, from + 3, scanFirst})
+		}
+		return gs
+	}
+	for _, tc := range []struct {
+		name   string
+		groups []group
+	}{
+		{"per-interval IMU first", perInterval(false)},
+		{"per-interval scan first", perInterval(true)},
+		{"two intervals IMU first", []group{{0, 6, false}, {6, 12, false}, {12, 18, false}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			paced, client := createPacedSession(t, ts), createSession(t, ts)
+			ticks0 := srv.met.pacedTicks.Value()
+			post := func(path string, body interface{}) {
+				t.Helper()
+				if resp, b := postJSON(t, ts, path, body); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("%s: %d %s", path, resp.StatusCode, b)
+				}
+			}
+			send := func(id string, gr group, samples []sensors.Sample, scans []scanReq) {
+				if !gr.scanFirst {
+					post("/v1/sessions/"+id+"/imu", imuReq{Samples: samples})
+				}
+				for _, sc := range scans {
+					post("/v1/sessions/"+id+"/scan", sc)
+				}
+				if gr.scanFirst {
+					post("/v1/sessions/"+id+"/imu", imuReq{Samples: samples})
+				}
+			}
+			nScans := 0
+			for _, gr := range tc.groups {
+				samples, scans, last := trace.upload(gr.from, gr.to)
+				nScans += len(scans)
+				send(client, gr, samples, scans)
+				if resp, b := postJSON(t, ts, "/v1/sessions/"+client+"/tick", tickReq{T: last}); resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
+					t.Fatalf("client tick: %d %s", resp.StatusCode, b)
+				}
+				send(paced, gr, samples, scans)
+				var got, want sessionResp
+				getJSON(t, ts, "/v1/sessions/"+paced, &got)
+				getJSON(t, ts, "/v1/sessions/"+client, &want)
+				if !sameTrackerState(got, want) {
+					t.Fatalf("after [%g, %g): paced %+v fix %+v, client-ticked %+v fix %+v",
+						gr.from, gr.to, got.Stats, got.Fix, want.Stats, want.Fix)
+				}
+				if want.Stats.Fixes == 0 && gr.to > 6 {
+					t.Fatalf("after [%g, %g): no fix yet; the comparison is vacuous", gr.from, gr.to)
+				}
+			}
+			if got := srv.met.pacedTicks.Value() - ticks0; got != int64(nScans) {
+				t.Errorf("paced_ticks rose by %d over %d scan uploads, want one each", got, nScans)
+			}
+		})
+	}
+}
+
+// TestPacedStreamScanTicks pins that a stream Scan frame ticks a paced
+// session as POST /scan does: the same uploads over HTTP and as IMU and
+// Scan frames, with no Tick frame sent, leave two paced sessions with
+// the same tracker state and newest fix after every interval.
+func TestPacedStreamScanTicks(t *testing.T) {
+	sys := buildSys(t)
+	srv := durableServer(t, sys, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	addr := startStream(t, srv)
+	trace := newPacedTrace(t, sys, 18)
+
+	httpID, streamID := createPacedSession(t, ts), createPacedSession(t, ts)
+	sc, err := wire.DialStream(addr, "paced-scan", wire.ClientOptions{SessionID: streamID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	for r := 0; r < 6; r++ {
+		samples, scans, _ := trace.upload(float64(3*r), float64(3*r+3))
+		if resp, b := postJSON(t, ts, "/v1/sessions/"+httpID+"/imu", imuReq{Samples: samples}); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("imu: %d %s", resp.StatusCode, b)
+		}
+		if resp, b := postJSON(t, ts, "/v1/sessions/"+httpID+"/scan", scans[0]); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("scan: %d %s", resp.StatusCode, b)
+		}
+		if err := sc.SendIMU(samples); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.SendScan(scans[0].T, scans[0].RSS); err != nil {
+			t.Fatal(err)
+		}
+		// The HTTP scan ticked before it returned; the frame's tick
+		// lands asynchronously.
+		waitUntil(t, fmt.Sprintf("round %d stream scan's paced tick", r), func() bool {
+			return srv.met.pacedTicks.Value() >= int64(2*(r+1))
+		})
+		var viaHTTP, viaStream sessionResp
+		getJSON(t, ts, "/v1/sessions/"+httpID, &viaHTTP)
+		getJSON(t, ts, "/v1/sessions/"+streamID, &viaStream)
+		if !sameTrackerState(viaStream, viaHTTP) {
+			t.Fatalf("round %d: stream %+v fix %+v, HTTP %+v fix %+v",
+				r, viaStream.Stats, viaStream.Fix, viaHTTP.Stats, viaHTTP.Fix)
+		}
+		if r > 0 && viaHTTP.Stats.Fixes != int64(r) {
+			t.Fatalf("round %d: %d fixes, want %d (one per closed interval)", r, viaHTTP.Stats.Fixes, r)
+		}
+	}
+}
+
+// TestPacedIdleSessionsCostNoTicks pins that pacing runs no background
+// work: paced sessions that upload no scan are never ticked, however
+// long the server runs, and an IMU-only upload does not tick either.
+func TestPacedIdleSessionsCostNoTicks(t *testing.T) {
 	sys := buildSys(t)
 	clock := newFakeClock()
-	srv := durableServer(t, sys, Options{Workers: 3, Now: clock.Now})
+	srv := durableServer(t, sys, Options{Now: clock.Now})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const K = 24
-	rss := make([]float64, srv.numAPs)
-	for i := range rss {
-		rss[i] = -60
-	}
-	ids := make([]string, K)
-	for i := range ids {
-		resp, body := postJSON(t, ts, "/v1/sessions", createReq{HeightM: 1.71, WeightKg: 68, Paced: true})
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create: %d %s", resp.StatusCode, body)
-		}
-		var cr createResp
-		if err := json.Unmarshal(body, &cr); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = cr.SessionID
-		resp, _ = postJSON(t, ts, "/v1/sessions/"+ids[i]+"/scan", scanReq{T: 0.5, RSS: rss})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("scan: %d", resp.StatusCode)
+	const n = 64
+	for i := 0; i < n; i++ {
+		id := createPacedSession(t, ts)
+		if i%2 == 0 {
+			resp, b := postJSON(t, ts, "/v1/sessions/"+id+"/imu", imuReq{Samples: []sensors.Sample{{T: 0.5, Accel: 9.8}}})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("imu: %d %s", resp.StatusCode, b)
+			}
 		}
 	}
-	if got := srv.met.pacedSessions.Value(); got != K {
-		t.Fatalf("paced_sessions = %d, want %d", got, K)
+	srv.Start()
+	// Many intervals pass on the server's clock, well inside the TTL,
+	// while its background loops run for a second of wall time.
+	clock.Advance(time.Minute)
+	time.Sleep(time.Second)
+	if got := srv.met.pacedTicks.Value(); got != 0 {
+		t.Errorf("paced_ticks = %d for %d idle paced sessions, want 0", got, n)
 	}
-
-	clock.Advance(4 * time.Second)
-	srv.AdvanceWheel(clock.Now())
-	waitUntil(t, "all paced ticks", func() bool { return srv.met.pacedTicks.Value() >= K })
-
-	ticks := srv.met.pacedTicks.Value()
-	loads := srv.met.pacedSnapshotLoads.Value()
-	if ticks != K {
-		t.Fatalf("paced_ticks = %d, want %d", ticks, K)
+	if got := srv.NumSessions(); got != n {
+		t.Errorf("NumSessions = %d, want %d", got, n)
 	}
-	// One advance queues at most one sweep (and one snapshot load) per
-	// worker.
-	if loads > 3 {
-		t.Errorf("paced_snapshot_loads = %d for %d ticks across 3 workers; batching failed", loads, ticks)
-	}
-	// The view hasn't changed since creation, so no tracker re-adopted.
-	if swaps := snapshotSwaps(t, ts, ids[0]); swaps != 0 {
-		t.Errorf("SnapshotSwaps = %d with an unchanged view, want 0", swaps)
-	}
-
-	// Publish a fresh compiled view, as a retrain would, and advance
-	// again: every tracker in a sweep adopts the one shared view (one
-	// swap each), still off one snapshot load per worker sweep.
-	// Compiling from the retrainer's clone sidesteps the serving DB's
-	// per-parameter memoization, which would hand back the same pointer.
-	srv.retrain.mu.Lock()
-	cmp2, err := srv.retrain.db.Compile(srv.retrain.alpha, srv.retrain.beta)
-	srv.retrain.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.snap.Store(cmp2)
-	clock.Advance(4 * time.Second)
-	srv.AdvanceWheel(clock.Now())
-	waitUntil(t, "second paced round", func() bool { return srv.met.pacedTicks.Value() >= 2*K })
-	if loads := srv.met.pacedSnapshotLoads.Value(); loads > 6 {
-		t.Errorf("paced_snapshot_loads = %d after two rounds across 3 workers", loads)
-	}
-	if swaps := snapshotSwaps(t, ts, ids[0]); swaps != 1 {
-		t.Errorf("SnapshotSwaps = %d after one view change, want 1", swaps)
-	}
-}
-
-// snapshotSwaps reads a session's SnapshotSwaps stat over the API.
-func snapshotSwaps(t *testing.T, ts *httptest.Server, id string) int64 {
-	t.Helper()
-	resp, body := getRaw(t, ts, "/v1/sessions/"+id)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("get session: %d", resp.StatusCode)
-	}
-	var sr sessionResp
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	return sr.Stats.SnapshotSwaps
 }
 
 // getRaw GETs a path and returns the response and body.
@@ -489,10 +619,10 @@ func getRaw(t *testing.T, ts *httptest.Server, path string) (*http.Response, []b
 	return resp, body
 }
 
-// TestPacedSessionStillExpires pins the TTL semantics of pacing:
-// server-driven ticks are not client activity, so an abandoned paced
-// session is still swept at its idle deadline — and its wheel entry is
-// dropped at the next fire instead of ticking a corpse forever.
+// TestPacedSessionStillExpires pins the TTL semantics of pacing: a
+// paced session's ticks ride its own uploads, so once the uploads stop
+// nothing keeps it alive, and the sweeper evicts it at its idle
+// deadline.
 func TestPacedSessionStillExpires(t *testing.T) {
 	sys := buildSys(t)
 	clock := newFakeClock()
@@ -501,48 +631,38 @@ func TestPacedSessionStillExpires(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts, "/v1/sessions", createReq{HeightM: 1.71, WeightKg: 68, Paced: true})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %d %s", resp.StatusCode, body)
-	}
+	id := createPacedSession(t, ts)
 	rss := make([]float64, srv.numAPs)
 	for i := range rss {
 		rss[i] = -60
 	}
-	var cr createResp
-	if err := json.Unmarshal(body, &cr); err != nil {
-		t.Fatal(err)
-	}
-	resp, _ = postJSON(t, ts, "/v1/sessions/"+cr.SessionID+"/scan", scanReq{T: 0.5, RSS: rss})
+	resp, _ := postJSON(t, ts, "/v1/sessions/"+id+"/scan", scanReq{T: 0.5, RSS: rss})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("scan: %d", resp.StatusCode)
 	}
-	if got := srv.wheel.scheduled(); got != 1 {
-		t.Fatalf("scheduled = %d after paced create, want 1", got)
+	if got := srv.met.pacedTicks.Value(); got != 1 {
+		t.Fatalf("paced_ticks = %d after one paced scan, want 1", got)
 	}
 
-	// Wheel fires within the TTL: the session ticks but must NOT have
-	// its idle deadline extended by its own server-driven ticking.
-	clock.Advance(4 * time.Second)
-	srv.AdvanceWheel(clock.Now())
-	waitUntil(t, "paced tick", func() bool { return srv.met.pacedTicks.Value() >= 1 })
-
-	clock.Advance(2 * time.Minute)
-	if n := srv.sweepOnce(); n != 1 {
-		t.Fatalf("sweeper evicted %d sessions, want 1 (paced ticks must not refresh the TTL)", n)
+	clock.Advance(30 * time.Second)
+	if n := srv.sweepOnce(); n != 0 {
+		t.Fatalf("sweeper evicted %d sessions inside the TTL, want 0", n)
 	}
-	// The next fire notices the eviction and retires the wheel entry.
 	clock.Advance(time.Minute)
-	srv.AdvanceWheel(clock.Now())
-	waitUntil(t, "wheel entry drop", func() bool { return srv.wheel.scheduled() == 0 })
+	if n := srv.sweepOnce(); n != 1 {
+		t.Fatalf("sweeper evicted %d sessions, want the idle paced one", n)
+	}
+	if resp, _ := getRaw(t, ts, "/v1/sessions/"+id); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of the expired paced session: %d, want 404", resp.StatusCode)
+	}
 }
 
-// TestServerShardStress hammers the striped registry and the wheel from
-// every direction at once — concurrent creates, scans, ticks, deletes,
-// wheel advances, and incremental sweeps — sized to spread sessions
-// across every stripe. Run under -race in CI; the assertions here are
-// conservation laws (created = live + deleted + expired, wheel drains
-// to zero), the race detector is the real judge.
+// TestServerShardStress hammers the striped registry and paced ticking
+// from every direction at once — concurrent creates, scans (which tick
+// the paced half of the fleet), ticks, deletes, and incremental sweeps
+// — sized to spread sessions across every stripe. Run under -race in
+// CI; the assertion here is a conservation law (created = live +
+// deleted + expired), the race detector is the real judge.
 func TestServerShardStress(t *testing.T) {
 	n := 10000
 	if testing.Short() {
@@ -617,8 +737,8 @@ func TestServerShardStress(t *testing.T) {
 	}
 
 	// Phase 2: everything at once. Feeders drive data and ticks,
-	// deleters remove a third of the fleet, the wheel advances, and the
-	// sweeper walks stripes incrementally — all concurrently.
+	// deleters remove a third of the fleet, and the sweeper walks
+	// stripes incrementally — all concurrently.
 	const feeders = 8
 	for f := 0; f < feeders; f++ {
 		wg.Add(1)
@@ -653,14 +773,6 @@ func TestServerShardStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			clock.Advance(500 * time.Millisecond)
-			srv.AdvanceWheel(clock.Now())
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
 		buf := make([]*session, 0, 64)
 		nsh := srv.reg.numShards()
 		for i := 0; i < 40; i++ {
@@ -672,8 +784,8 @@ func TestServerShardStress(t *testing.T) {
 		return
 	}
 
-	// Phase 3: expire the remainder and drain the wheel. Conservation:
-	// every created session is exactly one of live/deleted/expired.
+	// Phase 3: expire the remainder. Conservation: every created session
+	// is exactly one of live/deleted/expired.
 	clock.Advance(time.Hour)
 	srv.sweepOnce()
 	if got := srv.NumSessions(); got != 0 {
@@ -685,12 +797,4 @@ func TestServerShardStress(t *testing.T) {
 	if created != int64(n) || del+exp != int64(n) {
 		t.Fatalf("conservation violated: created=%d deleted=%d expired=%d (n=%d)", created, del, exp, n)
 	}
-	// Every paced entry is retired within two more advances (a sweep
-	// may have been shed by a worker still busy with phase 2's work).
-	for i := 0; i < 10 && srv.wheel.scheduled() > 0; i++ {
-		clock.Advance(4 * time.Second)
-		srv.AdvanceWheel(clock.Now())
-		time.Sleep(20 * time.Millisecond)
-	}
-	waitUntil(t, "wheel drain", func() bool { return srv.wheel.scheduled() == 0 })
 }

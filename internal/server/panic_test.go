@@ -64,7 +64,7 @@ func TestRunShardedRecoversPanic(t *testing.T) {
 	id := createSession(t, ts)
 	ss, _ := srv.reg.get(id)
 
-	err := srv.runSharded(ss, func(*tracker.Tracker) { panic("tracker bug") })
+	err := srv.runSharded(ss, func(*tracker.Tracker) { panic("tracker bug") }, false)
 	var ce *clientError
 	if !errors.As(err, &ce) || ce.status != http.StatusInternalServerError {
 		t.Fatalf("runSharded on a panicking fn = %v, want a 500 clientError", err)
@@ -75,7 +75,7 @@ func TestRunShardedRecoversPanic(t *testing.T) {
 
 	// The worker survived; the session still works.
 	ran := false
-	if err := srv.runSharded(ss, func(*tracker.Tracker) { ran = true }); err != nil || !ran {
+	if err := srv.runSharded(ss, func(*tracker.Tracker) { ran = true }, false); err != nil || !ran {
 		t.Fatalf("worker did not serve the session after the panic: %v", err)
 	}
 }

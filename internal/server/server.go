@@ -26,6 +26,11 @@
 // the touched edges and publishes a new compiled view through an
 // RCU-style atomic snapshot every session's tracker acquires once per
 // tick (retrain.go).
+//
+// A session created with "paced":true is ticked by the server instead
+// of by /tick: each scan upload (/scan or a stream Scan frame) closes
+// the intervals elapsed by the session's last event, and the client
+// polls GET for the last fix (serveClient).
 package server
 
 import (
@@ -106,10 +111,17 @@ type Server struct {
 	// different sessions touch different stripes.
 	reg *sessionRegistry
 
-	// wheel drives server-paced sessions (wheel.go): sessions created
-	// with "paced":true sit on their worker's list and are ticked by
-	// periodic per-worker sweeps instead of per-client tick requests.
-	wheel tickWheel
+	// pacedScratch holds one fix buffer per pool worker for the ticks
+	// paced sessions run on their scan uploads (tickPaced). Element w is
+	// touched only by tasks on worker w, which run one at a time.
+	pacedScratch []pacedScratch
+}
+
+// pacedScratch is one worker's reused paced-tick state: the fix
+// destination buffer.
+type pacedScratch struct {
+	//moloc:reuse
+	fixes []tracker.Fix
 }
 
 // New builds a server over a candidate source (numAPs wide), a motion
@@ -159,7 +171,7 @@ func NewWithOptions(plan *floorplan.Plan, src fingerprint.CandidateSource, numAP
 		done:    make(chan struct{}),
 		reg:     newSessionRegistry(o.Shards),
 	}
-	s.wheel = make(tickWheel, len(s.pool.queues))
+	s.pacedScratch = make([]pacedScratch, len(s.pool.queues))
 	s.stream.init()
 	s.snap.Store(cmp)
 	s.registerPoolGauges()
@@ -193,14 +205,14 @@ func NewWithOptions(plan *floorplan.Plan, src fingerprint.CandidateSource, numAP
 // index, for embedders and tests observing retrain publications.
 func (s *Server) CompiledSnapshot() *motiondb.Compiled { return s.snap.Load() }
 
-// The client-paced data plane: one core under every transport. HTTP
-// /imu, /scan, /tick and /batch (below) and the stream's IMU, Scan
-// and Tick frames (stream.go) are codecs that decode into a clientReq,
-// call serveClient, and encode its fixes or its clientError. Validation,
+// The data plane: one core under every transport. HTTP /imu, /scan,
+// /tick and /batch (below) and the stream's IMU, Scan and Tick frames
+// (stream.go) are codecs that decode into a clientReq, call
+// serveClient, and encode its fixes or its clientError. Validation,
 // worker dispatch, the degradation-ladder sample, and the per-fix
 // metrics therefore happen in exactly one place, so the transports
-// cannot drift apart. Server pacing (wheel.go) keeps its own per-worker
-// sweep and shares only countFixes.
+// cannot drift apart. Server pacing runs in the same core: a paced
+// session's scan upload ticks it in the upload's own dispatch.
 
 // clientReq is one client-paced request in transport-neutral form: IMU
 // samples and scans to feed the session's tracker, in that order, then
@@ -241,6 +253,15 @@ func (e *clientError) Error() string { return e.msg }
 // regardless of when the state flips mid-request. The result aliases
 // dst.
 //
+// Server pacing: on a paced session, a request that carries a scan but
+// no tick also ticks the session at its last event time
+// (tracker.LastEventTime), in the same dispatch after the caller is
+// released (runSharded). The tick rides the scan, never an IMU-only
+// upload, so IMU sent ahead of its intervals' scans closes none of them
+// early; but scans of two intervals sent before the first one's IMU
+// close that interval without it. Ticking only at event times, paced
+// fixes equal those of a client ticking after each upload.
+//
 //moloc:reuse
 func (s *Server) serveClient(ss *session, req clientReq, dst []tracker.Fix) ([]tracker.Fix, error) {
 	if len(req.samples) > s.opts.MaxIMUBatch {
@@ -271,6 +292,7 @@ func (s *Server) serveClient(ss *session, req clientReq, dst []tracker.Fix) ([]t
 	fpOnly := s.fingerprintOnly()
 	start := time.Now()
 	fixes := dst
+	pace := ss.paced && !req.tick && len(req.scans) > 0
 	if err := s.runSharded(ss, func(tk *tracker.Tracker) {
 		for _, smp := range req.samples {
 			tk.AddIMU(smp)
@@ -282,12 +304,10 @@ func (s *Server) serveClient(ss *session, req clientReq, dst []tracker.Fix) ([]t
 			return
 		}
 		tk.SetFingerprintOnly(fpOnly)
-		a0 := heapAllocBytes()
 		t0 := time.Now()
 		fixes = tk.TickBatch(req.t, dst)
 		s.met.tickSeconds.Observe(time.Since(t0).Seconds())
-		s.met.tickAllocBytes.Observe(float64(heapAllocBytes() - a0))
-	}); err != nil {
+	}, pace); err != nil {
 		return dst, err
 	}
 	if len(fixes) > len(dst) {
@@ -299,8 +319,8 @@ func (s *Server) serveClient(ss *session, req clientReq, dst []tracker.Fix) ([]t
 	return fixes, nil
 }
 
-// countFixes is the per-fix bookkeeping every tick path shares, the
-// wheel included: one candidate_set_size sample and one fixes{mode=…}
+// countFixes is the per-fix bookkeeping every tick path shares, paced
+// ticks included: one candidate_set_size sample and one fixes{mode=…}
 // count per fix produced.
 func (s *Server) countFixes(fixes []tracker.Fix) {
 	for i := range fixes {
@@ -320,32 +340,44 @@ func (s *Server) countFixes(fixes []tracker.Fix) {
 // transport maps and counts itself. Every other error is a clientError:
 // a closed pool (503), a panic (500), or an evicted session (404).
 //
-// Panics inside fn are caught on the worker — an unrecovered panic
-// there would kill the whole process, not just the request — while the
-// worker keeps serving other sessions. The session's own lock is
-// released by withTracker's defer before the recover runs, so the
-// session stays usable too.
-func (s *Server) runSharded(ss *session, fn func(tk *tracker.Tracker)) error {
+// With pace set, the same task then ticks the paced session
+// (tickPaced) after releasing the caller, so the tick stays off the
+// caller's reply. The session lock is held from fn through that tick: a
+// GET issued once the caller returns waits for the tick and sees its
+// fix.
+//
+// Panics inside fn or the paced tick are caught on the worker — an
+// unrecovered panic there would kill the whole process, not just the
+// request — while the worker keeps serving other sessions. The session
+// lock is released by withTracker's defer, so the session stays usable
+// too.
+func (s *Server) runSharded(ss *session, fn func(tk *tracker.Tracker), pace bool) error {
 	now := s.opts.Now()
+	var arrived time.Time
+	if pace {
+		arrived = time.Now()
+	}
+	w := shardOf(ss.id, len(s.pool.queues))
 	// One struct for the outcome and its completion, so the dispatch
-	// moves one object (and the closure) to the heap.
+	// moves one object (and the closure) to the heap. It is written only
+	// before done is released.
 	res := &struct {
 		done            sync.WaitGroup
 		alive, panicked bool
-	}{panicked: true}
+	}{}
 	res.done.Add(1)
-	err := s.pool.submit(shardOf(ss.id, len(s.pool.queues)), func() {
-		defer res.done.Done()
-		defer func() {
-			if !res.panicked {
-				return
+	err := s.pool.submit(w, func() {
+		alive := ss.withTracker(now, func(tk *tracker.Tracker) {
+			ok := s.contain(func() { fn(tk) })
+			res.alive, res.panicked = true, !ok
+			res.done.Done()
+			if ok && pace {
+				s.contain(func() { s.tickPaced(tk, &s.pacedScratch[w], arrived) })
 			}
-			if rec := recover(); rec != nil {
-				s.met.panicsRecovered.Inc()
-			}
-		}()
-		res.alive = ss.withTracker(now, fn)
-		res.panicked = false
+		})
+		if !alive {
+			res.done.Done()
+		}
 	})
 	if err == errPoolClosed {
 		return &clientError{http.StatusServiceUnavailable, "server shutting down"}
@@ -360,6 +392,36 @@ func (s *Server) runSharded(ss *session, fn func(tk *tracker.Tracker)) error {
 		return &clientError{http.StatusNotFound, "session expired"}
 	}
 	return nil
+}
+
+// contain runs fn and reports whether it returned. A panic is counted
+// in panics_recovered and goes no further.
+func (s *Server) contain(fn func()) (ok bool) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.met.panicsRecovered.Inc()
+		}
+	}()
+	fn()
+	return true
+}
+
+// tickPaced ticks a paced session's tracker at its last event time,
+// into worker scratch sc; its client reads the newest fix with GET
+// /v1/sessions/{id}. paced_fix_seconds times each fix from arrived, the
+// upload's dispatch.
+func (s *Server) tickPaced(tk *tracker.Tracker, sc *pacedScratch, arrived time.Time) {
+	ev, started := tk.LastEventTime()
+	if !started {
+		return
+	}
+	tk.SetFingerprintOnly(s.fingerprintOnly())
+	sc.fixes = tk.TickBatch(ev, sc.fixes[:0])
+	s.met.pacedTicks.Inc()
+	if len(sc.fixes) > 0 {
+		s.met.pacedFixSeconds.Observe(time.Since(arrived).Seconds())
+		s.countFixes(sc.fixes)
+	}
 }
 
 // Handler returns the HTTP handler for the API. Routing is explicit
@@ -448,10 +510,10 @@ type createReq struct {
 	HeightM     float64 `json:"height_m"`
 	WeightKg    float64 `json:"weight_kg"`
 	IntervalSec float64 `json:"interval_sec,omitempty"`
-	// Paced opts the session into server-driven ticking (wheel.go): the
-	// server closes elapsed intervals itself in periodic sweeps, so
-	// the client only uploads data and polls GET for the last fix.
-	// molocd -paced forces it for every session.
+	// Paced opts the session into server-driven ticking (serveClient):
+	// each scan upload closes the intervals that have elapsed by the
+	// session's last event, so the client only uploads data and polls
+	// GET for the last fix. molocd -paced forces it for every session.
 	Paced bool `json:"paced,omitempty"`
 }
 
@@ -502,11 +564,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	id := s.reg.allocID()
 	ss := newSession(id, tk, now)
-	paced := req.Paced || s.opts.PaceAll
+	ss.paced = req.Paced || s.opts.PaceAll
 	s.reg.insert(ss)
-	if paced {
+	if ss.paced {
 		s.met.pacedSessions.Inc()
-		s.wheel.add(ss, pacedInterval(cfg.IntervalSec), shardOf(id, len(s.pool.queues)), now)
 	}
 
 	s.met.sessionsCreated.Inc()
@@ -514,7 +575,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		SessionID: id,
 		TTLSec:    s.opts.SessionTTL.Seconds(),
 		Expires:   now.Add(s.opts.SessionTTL),
-		Paced:     paced,
+		Paced:     ss.paced,
 	})
 }
 
@@ -612,9 +673,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown session "+id)
 		return
 	}
-	// Marking the session evicted also drops it off its worker's paced
-	// list: an entry whose session is evicted is discarded at its next
-	// deadline instead of rescheduled.
 	ss.close()
 	s.met.sessionsDeleted.Inc()
 	w.WriteHeader(http.StatusNoContent)

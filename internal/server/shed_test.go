@@ -323,7 +323,7 @@ func TestRunShardedAllocs(t *testing.T) {
 
 	noop := func(*tracker.Tracker) {}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := srv.runSharded(ss, noop); err != nil {
+		if err := srv.runSharded(ss, noop, false); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -2,19 +2,21 @@ package tracker
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"moloc/internal/localizer"
+	"moloc/internal/motiondb"
 	"moloc/internal/sensors"
 )
 
 // TestPacedTickEquivalence pins the server-paced tick contract: ticking
-// a tracker at its LastEventTime whenever the server's wheel fires must
+// a tracker at its LastEventTime whenever the server ticks it must
 // produce fixes bit-identical to the same event sequence driven by
-// client tick requests at every event time. The wheel fires on a
-// different (and sparser) schedule than the client ticks, but because
-// both clocks only ever advance to event times, every interval closes
-// with exactly the same evidence either way.
+// client tick requests at every event time. The server ticks on a
+// different (and sparser) schedule than the client, but because both
+// clocks only ever advance to event times, every interval closes with
+// exactly the same evidence either way.
 func TestPacedTickEquivalence(t *testing.T) {
 	sys := sysFixture(t)
 	fdb := fullFDB(t, sys)
@@ -32,6 +34,11 @@ func TestPacedTickEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The view is published after the tracker attaches, so its first
+	// tick adopts it: one counted swap.
+	var snap atomic.Pointer[motiondb.Compiled]
+	paced.UseSnapshot(&snap)
+	snap.Store(cmp)
 
 	var clientFixes, pacedFixes []Fix
 	buf := make([]Fix, 0, 4)
@@ -49,21 +56,20 @@ func TestPacedTickEquivalence(t *testing.T) {
 		if fix, ok := client.Tick(ts); ok {
 			clientFixes = append(clientFixes, fix)
 		}
-		// The server's wheel fires on its own sparser schedule and
-		// ticks at the tracker's last event time against the shared
-		// compiled view.
+		// The server ticks on its own sparser schedule, at the
+		// tracker's last event time against the published view.
 		if i%7 == 0 {
 			ev, started := paced.LastEventTime()
 			if !started {
 				t.Fatalf("event %d: tracker has events but LastEventTime reports unstarted", i)
 			}
-			buf = paced.TickBatchShared(cmp, ev, buf[:0])
+			buf = paced.TickBatch(ev, buf[:0])
 			pacedFixes = append(pacedFixes, buf...)
 		}
 	}
-	// One catch-up fire after the last event, as the wheel would issue.
+	// One catch-up tick after the last event.
 	ev, _ := paced.LastEventTime()
-	buf = paced.TickBatchShared(cmp, ev, buf[:0])
+	buf = paced.TickBatch(ev, buf[:0])
 	pacedFixes = append(pacedFixes, buf...)
 
 	if len(clientFixes) == 0 {
@@ -74,7 +80,7 @@ func TestPacedTickEquivalence(t *testing.T) {
 			clientFixes, pacedFixes)
 	}
 	if swaps := paced.Stats().SnapshotSwaps; swaps != 1 {
-		t.Errorf("SnapshotSwaps = %d, want exactly 1 adoption of the shared view", swaps)
+		t.Errorf("SnapshotSwaps = %d, want exactly 1 adoption of the published view", swaps)
 	}
 }
 

@@ -234,24 +234,14 @@ func (t *Tracker) UseSnapshot(snap *atomic.Pointer[motiondb.Compiled]) {
 // with Tick (the server serializes all access to a session).
 func (t *Tracker) SetFingerprintOnly(on bool) { t.fpOnly = on }
 
-// acquireSnapshot adopts a newly published motion index; called once
-// per Tick so every interval closed by that tick sees one consistent
-// view.
+// acquireSnapshot adopts a newly published motion index, counting each
+// adoption in SnapshotSwaps; called once per Tick so every interval
+// closed by that tick sees one consistent view.
 func (t *Tracker) acquireSnapshot() {
 	if t.snap == nil {
 		return
 	}
-	t.adoptCompiled(t.snap.Load())
-}
-
-// adoptCompiled swaps the localizer onto c when it is a new view. It is
-// the snapshot-free half of acquireSnapshot: the server-paced path
-// loads the RCU pointer once per worker sweep and hands every tracker
-// in the sweep the same view through TickBatchShared, so N paced
-// sessions cost one atomic load instead of N. SnapshotSwaps still
-// counts per-tracker adoptions, so the amortization is observable: with
-// pacing on, swaps lag far behind sweep counts.
-func (t *Tracker) adoptCompiled(c *motiondb.Compiled) {
+	c := t.snap.Load()
 	if c == nil || c == t.curCmp {
 		return
 	}
@@ -352,24 +342,6 @@ func (t *Tracker) TickBatch(now float64, dst []Fix) []Fix {
 		return dst
 	}
 	t.acquireSnapshot()
-	return t.tickLoop(now, dst)
-}
-
-// TickBatchShared is TickBatch with the motion-index view supplied by
-// the caller instead of loaded from the RCU snapshot: the server-paced
-// sweep loads the snapshot once per worker and runs every due tracker
-// against that one view, so a sweep over N due sessions costs one
-// atomic load, not N. Passing the current snapshot value
-// yields exactly TickBatch's behavior — the shared view goes through
-// the same adoption (and validation) path — so paced and client-paced
-// sessions produce identical fixes for identical event sequences.
-//
-//moloc:reuse
-func (t *Tracker) TickBatchShared(cmp *motiondb.Compiled, now float64, dst []Fix) []Fix {
-	if !t.started || math.IsNaN(now) || math.IsInf(now, 0) {
-		return dst
-	}
-	t.adoptCompiled(cmp)
 	return t.tickLoop(now, dst)
 }
 
